@@ -8,7 +8,10 @@
 # smoke the perf benches at tiny sizes so the hot paths are exercised,
 # not just compiled, and diff the smoke BENCH_JSON counters against the
 # pinned baselines (scripts/bench_guard.py) so queue-traffic regressions
-# fail CI even when every QoR gate still passes.
+# fail CI even when every QoR gate still passes.  The TSan lane also runs
+# the stage-cache and daemon test suites, whose concurrent-hit stress
+# tests restore from the shared cache while other threads publish into it
+# and evict from it.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-check)
 set -euo pipefail
@@ -28,18 +31,22 @@ ctest --test-dir "$SAN_DIR" --output-on-failure -j "$(nproc)"
 echo "--- sanitizer bench smoke (engines + both negotiation schedulers) ---"
 "$SAN_DIR"/bench_routing_delay --smoke > /dev/null
 
-echo "--- sanitizer (TSan) bench smoke ---"
+echo "--- sanitizer (TSan) bench smoke + cache/daemon tests ---"
 # The routing smoke runs the speculative multi-worker drain (the
 # interleave-scaling section routes with 2 and 4 workers even on a
-# 1-core machine) and the daemon smoke runs the compile service's
-# worker threads — the two places real concurrency lives.
+# 1-core machine), the daemon smoke runs the compile service's worker
+# threads, and test_cache / test_serve run concurrent cache hits against
+# publishes and evictions (the lock-free restore path) — the places real
+# concurrency lives.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DMCFPGA_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$TSAN_DIR" -j "$(nproc)" \
-  --target bench_routing_delay bench_serve
+  --target bench_routing_delay bench_serve test_cache test_serve
 "$TSAN_DIR"/bench_routing_delay --smoke > /dev/null
 "$TSAN_DIR"/bench_serve --smoke > /dev/null
+"$TSAN_DIR"/test_cache
+"$TSAN_DIR"/test_serve
 
 echo "--- bench smoke runs ---"
 "$BUILD_DIR"/bench_placer --smoke

@@ -159,6 +159,16 @@ void ArtifactCache::store_entry(std::uint64_t key,
   evict_over_limit();
 }
 
+void ArtifactCache::charge(std::uint64_t key, std::size_t bytes) {
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) {
+    return;
+  }
+  it->second.bytes += bytes;
+  bytes_ += bytes;
+  evict_over_limit();
+}
+
 void ArtifactCache::evict_over_limit() {
   // Never evict the sole (just-touched) entry: an artifact larger than
   // max_bytes still caches, it just caches alone.

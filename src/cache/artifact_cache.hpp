@@ -137,6 +137,11 @@ class ArtifactCache {
                 typeid(T), bytes);
   }
 
+  /// Adds `bytes` to a live entry's size estimate (for data an artifact
+  /// builds after its store, like a restored snapshot), then evicts as
+  /// store() does.  No-op when `key` is absent.
+  void charge(std::uint64_t key, std::size_t bytes);
+
   const Counters& counters() const { return counters_; }
   const Limits& limits() const { return limits_; }
   std::size_t num_entries() const { return entries_.size(); }

@@ -284,7 +284,6 @@ Compiled CompileService::compile(const netlist::MultiContextNetlist& netlist,
   core::FlowContext ctx = core::make_flow_context(netlist, spec, options);
   cache_.attach(ctx);
   ctx.observer = observer;
-  const ArtifactCache::Counters before = cache_.stats().counters;
   core::run_pipeline(ctx, options.closure_iterations >= 2
                               ? core::closure_pipeline()
                               : core::default_pipeline());
@@ -293,8 +292,10 @@ Compiled CompileService::compile(const netlist::MultiContextNetlist& netlist,
   out.spec = spec;
   out.options = options;
   out.placement_problem_hash = effective_placement_problem(ctx).second;
+  const std::size_t hits = ctx.cache_hits;
+  const std::size_t misses = ctx.cache_misses;
   out.design = core::finalize_design(std::move(ctx));
-  fill_cache_stats(out.design, before);
+  fill_cache_stats(out.design, hits, misses);
   return out;
 }
 
@@ -364,7 +365,6 @@ Compiled CompileService::compile_incremental(
       core::make_flow_context(edited, previous.spec, options);
   cache_.attach(ctx);
   ctx.observer = observer;
-  const ArtifactCache::Counters counters_before = cache_.stats().counters;
   const auto& pipeline = core::default_pipeline();
   core::run_pipeline(
       ctx, std::vector<const core::Stage*>(pipeline.begin(),
@@ -627,8 +627,10 @@ Compiled CompileService::compile_incremental(
   out.spec = previous.spec;
   out.options = options;
   out.placement_problem_hash = problem_hash;
+  const std::size_t hits = ctx.cache_hits;
+  const std::size_t misses = ctx.cache_misses;
   out.design = core::finalize_design(std::move(ctx));
-  fill_cache_stats(out.design, counters_before);
+  fill_cache_stats(out.design, hits, misses);
   out.design.cache.delta = true;
   out.design.cache.nets_invalidated = total_invalidated;
   out.design.cache.nets_rerouted = total_invalidated;
@@ -645,12 +647,12 @@ Compiled CompileService::compile_incremental(
   return out;
 }
 
-void CompileService::fill_cache_stats(
-    core::CompiledDesign& design,
-    const ArtifactCache::Counters& before) const {
+void CompileService::fill_cache_stats(core::CompiledDesign& design,
+                                      std::size_t hits,
+                                      std::size_t misses) const {
   const FlowCache::Stats now = cache_.stats();
-  design.cache.hits = now.counters.hits - before.hits;
-  design.cache.misses = now.counters.misses - before.misses;
+  design.cache.hits = hits;
+  design.cache.misses = misses;
   design.cache.evictions = now.counters.evictions;
   design.cache.interned_patterns = now.live_patterns;
   design.cache.pattern_dedup_hits = now.pattern_dedup_hits;

@@ -84,10 +84,11 @@ struct Compiled {
 
 /// Thread safety: compile() and compile_incremental() may be called from
 /// several threads at once against one service (the serve daemon does) —
-/// the shared FlowCache serializes its own lookups/publishes, and the
-/// fallback-reason ledger has its own lock.  Results stay bit-identical
-/// to single-threaded calls because every compile is a pure function of
-/// its inputs and cache hits restore bit-identical snapshots.
+/// the shared FlowCache locks only its own lookups/publishes, and the
+/// fallback-reason ledger has its own lock.  A design's cache.hits /
+/// cache.misses count its own compile's lookups only.  Results stay
+/// bit-identical to single-threaded calls because every compile is a pure
+/// function of its inputs and cache hits restore bit-identical snapshots.
 class CompileService {
  public:
   explicit CompileService(IncrementalOptions options = {})
@@ -124,8 +125,10 @@ class CompileService {
                     const core::CompileOptions& options,
                     const char* reason, core::StageObserver* observer);
   void count_fallback(const std::string& reason);
-  void fill_cache_stats(core::CompiledDesign& design,
-                        const ArtifactCache::Counters& before) const;
+  /// `hits` / `misses`: the compile's own stage lookups
+  /// (FlowContext::cache_hits / cache_misses).
+  void fill_cache_stats(core::CompiledDesign& design, std::size_t hits,
+                        std::size_t misses) const;
 
   IncrementalOptions options_;
   FlowCache cache_;

@@ -14,9 +14,6 @@ namespace {
 // --- stored artifact types ---------------------------------------------------
 // One immutable value snapshot per stage, exactly the FlowContext fields
 // the stage's contract says it produces (core/stages.hpp header comment).
-// Switch patterns and bitstream rows are interned: the artifact keeps
-// refcounted PatternSet ids and the owning FlowCache's interner stores
-// each distinct pattern once across every cached design.
 
 struct TechMapArtifact {
   netlist::MultiContextNetlist netlist;
@@ -44,22 +41,8 @@ struct ClusterArtifact {
 };
 
 struct PlaceArtifact {
-  arch::FabricSpec spec;  ///< Auto-grown; the graph rebuilds from it.
+  arch::FabricSpec spec;  ///< Auto-grown; the graph is rebuilt on demand.
   place::Placement placement;
-};
-
-/// A RouteResult with its switch patterns swapped out for interner ids.
-struct RoutingSnapshot {
-  route::RouteResult routing;  ///< switch_patterns left empty.
-  PatternSet patterns;         ///< One id per switch, in SwitchId order.
-};
-
-struct RouteArtifact {
-  std::vector<timing::ContextTimingSpec> timing_specs;
-  std::vector<std::vector<std::size_t>> net_class;
-  std::vector<std::vector<std::vector<core::SinkKey>>> sink_keys;
-  RoutingSnapshot routing;
-  route::RouteHistory history;
 };
 
 struct TimingArtifact {
@@ -67,32 +50,61 @@ struct TimingArtifact {
   std::vector<core::ContextStats> stats;
 };
 
-struct ProgramArtifact {
+// Stages whose outputs carry switch patterns or bitstream rows store those
+// in the PatternInterner, so a corpus of cached designs keeps each
+// distinct ContextPattern once.  Such an artifact has three parts:
+//   - `value`: everything else.  It holds no interner ids, so a restore
+//     may keep reading it after the lock is released;
+//   - `ids`: the interned patterns, released (under the lock) when the
+//     artifact dies;
+//   - `restored`: the patterns materialized back into restorable values.
+//     The first hit builds it under the lock (the only time a restore
+//     reads the interner); every later hit shares it.
+
+template <typename Value, typename Restored>
+struct InternedArtifact {
+  std::shared_ptr<const Value> value;
+  PatternSet ids;
+  mutable std::shared_ptr<const Restored> restored;
+};
+
+/// A routing's switch patterns, materialized from interner ids.
+using SwitchPatterns = std::vector<config::ContextPattern>;
+
+struct RouteData {
+  std::vector<timing::ContextTimingSpec> timing_specs;
+  std::vector<std::vector<std::size_t>> net_class;
+  std::vector<std::vector<std::vector<core::SinkKey>>> sink_keys;
+  route::RouteResult routing;  ///< switch_patterns left empty (interned).
+  route::RouteHistory history;
+};
+using RouteArtifact = InternedArtifact<RouteData, SwitchPatterns>;
+
+/// The whole Place/Route/Timing block of a closure-loop compile, cached as
+/// one unit (the loop's iterations are not separately addressable).
+struct ClosureData {
+  PlaceArtifact place;
+  RouteData route;
+  TimingArtifact timing;
+  std::vector<core::ClosureIterationStats> closure_stats;
+};
+using ClosureArtifact = InternedArtifact<ClosureData, SwitchPatterns>;
+
+struct ProgramData {
   sim::FabricProgram program;  ///< switch_patterns left empty (interned).
-  PatternSet program_patterns;
   struct Row {
     std::string name;
     config::ResourceKind kind;
   };
-  std::vector<Row> rows;   ///< Bitstream rows; patterns interned below.
-  PatternSet row_patterns;  ///< Parallel to rows.
+  std::vector<Row> rows;  ///< Bitstream rows; patterns interned.
   std::size_t bitstream_contexts = 0;
 };
-
-/// The whole Place/Route/Timing block of a closure-loop compile, cached as
-/// one unit (the loop's iterations are not separately addressable).
-struct ClosureArtifact {
-  arch::FabricSpec spec;
-  place::Placement placement;
-  std::vector<timing::ContextTimingSpec> timing_specs;
-  std::vector<std::vector<std::size_t>> net_class;
-  std::vector<std::vector<std::vector<core::SinkKey>>> sink_keys;
-  RoutingSnapshot routing;
-  route::RouteHistory history;
-  std::vector<timing::TimingReport> reports;
-  std::vector<core::ContextStats> stats;
-  std::vector<core::ClosureIterationStats> closure_stats;
+struct ProgramRestored {
+  SwitchPatterns switch_patterns;
+  config::Bitstream bitstream;  ///< Hits share its row storage.
 };
+/// ids: the program's switch patterns, then one per bitstream row.
+using ProgramArtifact = InternedArtifact<ProgramData, ProgramRestored>;
 
 // --- size estimates ----------------------------------------------------------
 // Rough heap footprints for the cache's byte bound — dominant vectors
@@ -175,27 +187,186 @@ std::size_t bytes_of(const route::RouteHistory& h) {
   return total;
 }
 
-// --- intern/materialize helpers ---------------------------------------------
-
-RoutingSnapshot snapshot_routing(const route::RouteResult& routing,
-                                 PatternInterner& interner) {
-  RoutingSnapshot snap;
-  snap.routing = routing;
-  snap.patterns = PatternSet(&interner);
-  for (const auto& pattern : snap.routing.switch_patterns) {
-    snap.patterns.add(pattern);
-  }
-  snap.routing.switch_patterns.clear();
-  return snap;
+std::size_t bytes_of(const PlaceArtifact& a) {
+  return 128 + bytes_of(a.placement);
 }
 
-route::RouteResult materialize_routing(const RoutingSnapshot& snap) {
-  route::RouteResult routing = snap.routing;
-  routing.switch_patterns.reserve(snap.patterns.size());
-  for (std::size_t i = 0; i < snap.patterns.size(); ++i) {
-    routing.switch_patterns.push_back(snap.patterns.pattern(i));
+std::size_t bytes_of(const RouteData& a) {
+  return bytes_of(a.timing_specs) + sink_keys_bytes(a.sink_keys) +
+         bytes_of(a.routing) + bytes_of(a.history);
+}
+
+std::size_t bytes_of(const TimingArtifact& a) {
+  return bytes_of(a.reports) + a.stats.size() * sizeof(core::ContextStats);
+}
+
+std::size_t bytes_of(const SwitchPatterns& patterns) {
+  std::size_t total = 24;
+  for (const auto& p : patterns) {
+    total += bytes_of(p.values());
   }
-  return routing;
+  return total;
+}
+
+std::size_t bytes_of(const ProgramRestored& r) {
+  std::size_t total = bytes_of(r.switch_patterns);
+  for (const auto& row : r.bitstream.rows()) {
+    total += 16 + bytes_of(row.name) + bytes_of(row.pattern.values());
+  }
+  return total;
+}
+
+// --- intern/materialize helpers ---------------------------------------------
+
+/// A copy of `from` without its switch patterns, which the artifact
+/// interns instead of copying.
+template <typename T>
+T copy_without_switch_patterns(T& from) {
+  SwitchPatterns patterns = std::move(from.switch_patterns);
+  from.switch_patterns.clear();
+  T copy = from;
+  from.switch_patterns = std::move(patterns);
+  return copy;
+}
+
+void intern_all(PatternSet& ids, const SwitchPatterns& patterns) {
+  for (const auto& pattern : patterns) {
+    ids.add(pattern);
+  }
+}
+
+void intern_all(PatternSet& ids,
+                const std::vector<config::BitstreamRow>& rows) {
+  for (const auto& row : rows) {
+    ids.add(row.pattern);
+  }
+}
+
+/// The first `count` patterns of `ids`.
+SwitchPatterns patterns_of(const PatternSet& ids, std::size_t count) {
+  SwitchPatterns patterns;
+  patterns.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    patterns.push_back(ids.pattern(i));
+  }
+  return patterns;
+}
+
+SwitchPatterns materialize(const RouteData&, const PatternSet& ids) {
+  return patterns_of(ids, ids.size());
+}
+
+SwitchPatterns materialize(const ClosureData&, const PatternSet& ids) {
+  return patterns_of(ids, ids.size());
+}
+
+ProgramRestored materialize(const ProgramData& data, const PatternSet& ids) {
+  const std::size_t num_switches = ids.size() - data.rows.size();
+  ProgramRestored out;
+  out.switch_patterns = patterns_of(ids, num_switches);
+  out.bitstream = config::Bitstream(data.bitstream_contexts);
+  for (std::size_t r = 0; r < data.rows.size(); ++r) {
+    out.bitstream.add_row(data.rows[r].name, data.rows[r].kind,
+                          ids.pattern(num_switches + r));
+  }
+  return out;
+}
+
+// --- capture/restore of the Place/Route/Timing outputs -----------------------
+// Shared by those stages' own artifacts and the closure artifact.
+
+PlaceArtifact capture_place(const core::FlowContext& ctx) {
+  return PlaceArtifact{ctx.spec, ctx.placement};
+}
+
+void restore(const PlaceArtifact& a, core::FlowContext& ctx) {
+  // The spec replays PlaceStage's physical world; the graph is built from
+  // it only if a later stage runs (core::routing_graph).  The flow_timing /
+  // placement_build by-products stay absent and their consumers rebuild
+  // them on demand (both are pure functions of the clustering).
+  ctx.spec = a.spec;
+  ctx.graph.reset();
+  ctx.placement = a.placement;
+}
+
+RouteData capture_route(core::FlowContext& ctx) {
+  return RouteData{ctx.timing_specs, ctx.net_class, ctx.sink_keys,
+                   copy_without_switch_patterns(ctx.routing),
+                   ctx.route_history};
+}
+
+void restore(const RouteData& a, const SwitchPatterns& patterns,
+             core::FlowContext& ctx) {
+  ctx.timing_specs = a.timing_specs;
+  ctx.net_class = a.net_class;
+  ctx.sink_keys = a.sink_keys;
+  ctx.routing = a.routing;
+  ctx.routing.switch_patterns = patterns;
+  ctx.route_history = a.history;
+  ctx.flow_timing.reset();  // replays RouteStage consuming the cache
+}
+
+TimingArtifact capture_timing(const core::FlowContext& ctx) {
+  return TimingArtifact{ctx.timing_reports, ctx.context_stats};
+}
+
+void restore(const TimingArtifact& a, core::FlowContext& ctx) {
+  ctx.timing_reports = a.reports;
+  ctx.context_stats = a.stats;
+}
+
+// --- locked lookups ----------------------------------------------------------
+// The FlowCache mutex guards the store and the interner.  A lookup holds
+// it only to find the artifact (and, for an interned one, to materialize
+// it once); the caller restores from what is returned with it released.
+// Both lookups count the outcome into the flow's own counters.
+
+template <typename T>
+std::shared_ptr<const T> find(std::mutex& mu, ArtifactCache& store,
+                              core::FlowContext& ctx) {
+  std::shared_ptr<const T> found;
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    found = store.find<T>(ctx.cache_key);
+  }
+  ++(found ? ctx.cache_hits : ctx.cache_misses);
+  return found;
+}
+
+/// What a restore reads of an interned artifact: both parts are
+/// interner-free, so they stay valid after the lock is released.
+template <typename Value, typename Restored>
+struct InternedHit {
+  std::shared_ptr<const Value> value;
+  std::shared_ptr<const Restored> restored;
+  explicit operator bool() const { return value != nullptr; }
+};
+
+template <typename Value, typename Restored>
+InternedHit<Value, Restored> find_interned(std::mutex& mu,
+                                           ArtifactCache& store,
+                                           core::FlowContext& ctx) {
+  using Artifact = InternedArtifact<Value, Restored>;
+  InternedHit<Value, Restored> hit;
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    // Kept inside the lock's scope: once the lock is released, a
+    // concurrent store may evict the entry, and dropping what would then be
+    // the last reference releases interner ids, which needs the lock.
+    const std::shared_ptr<const Artifact> a =
+        store.find<Artifact>(ctx.cache_key);
+    if (a) {
+      if (!a->restored) {
+        a->restored =
+            std::make_shared<const Restored>(materialize(*a->value, a->ids));
+        store.charge(ctx.cache_key, bytes_of(*a->restored));
+      }
+      hit.value = a->value;
+      hit.restored = a->restored;
+    }
+  }
+  ++(hit ? ctx.cache_hits : ctx.cache_misses);
+  return hit;
 }
 
 }  // namespace
@@ -221,32 +392,30 @@ bool FlowCache::before_stage(const char* stage, core::FlowContext& ctx) {
   if (!ctx.cache_key_valid) {
     return false;
   }
-  // One lock over lookup + restore: restores copy out of shared_ptr
-  // snapshots and materialize patterns through the interner, both of
-  // which a concurrent publish could invalidate mid-read.
-  const std::lock_guard<std::mutex> lock(mu_);
+  // Only the lookup takes the lock; every copy below reads immutable,
+  // interner-free snapshots with the lock released, so concurrent hits
+  // restore in parallel.
   ctx.cache_key = stage_key(ctx.cache_key, stage);
-  const std::uint64_t key = ctx.cache_key;
   const std::string_view name(stage);
 
   if (name == "tech_map") {
-    if (const auto a = artifacts_.find<TechMapArtifact>(key)) {
+    if (const auto a = find<TechMapArtifact>(mu_, artifacts_, ctx)) {
       ctx.netlist = a->netlist;
       return true;
     }
   } else if (name == "sharing") {
-    if (const auto a = artifacts_.find<SharingArtifact>(key)) {
+    if (const auto a = find<SharingArtifact>(mu_, artifacts_, ctx)) {
       ctx.sharing = a->sharing;
       ctx.uses = a->uses;
       return true;
     }
   } else if (name == "plane_alloc") {
-    if (const auto a = artifacts_.find<PlaneArtifact>(key)) {
+    if (const auto a = find<PlaneArtifact>(mu_, artifacts_, ctx)) {
       ctx.planes = a->planes;
       return true;
     }
   } else if (name == "cluster") {
-    if (const auto a = artifacts_.find<ClusterArtifact>(key)) {
+    if (const auto a = find<ClusterArtifact>(mu_, artifacts_, ctx)) {
       ctx.clusters = a->clusters;
       ctx.slot_cluster = a->slot_cluster;
       ctx.slot_output = a->slot_output;
@@ -259,60 +428,37 @@ bool FlowCache::before_stage(const char* stage, core::FlowContext& ctx) {
       return true;
     }
   } else if (name == "place") {
-    if (const auto a = artifacts_.find<PlaceArtifact>(key)) {
-      // The graph is deterministic in the grown spec, so restoring the
-      // spec and rebuilding it replays PlaceStage's physical world; the
-      // flow_timing / placement_build by-products stay absent and their
-      // consumers rebuild them on demand (both are pure functions of the
-      // clustering).
-      ctx.spec = a->spec;
-      core::size_fabric_and_build_graph(ctx);
-      ctx.placement = a->placement;
+    if (const auto a = find<PlaceArtifact>(mu_, artifacts_, ctx)) {
+      restore(*a, ctx);
       return true;
     }
   } else if (name == "route") {
-    if (const auto a = artifacts_.find<RouteArtifact>(key)) {
-      ctx.timing_specs = a->timing_specs;
-      ctx.net_class = a->net_class;
-      ctx.sink_keys = a->sink_keys;
-      ctx.routing = materialize_routing(a->routing);
-      ctx.route_history = a->history;
-      ctx.flow_timing.reset();  // replays RouteStage consuming the cache
+    if (const auto hit =
+            find_interned<RouteData, SwitchPatterns>(mu_, artifacts_, ctx)) {
+      restore(*hit.value, *hit.restored, ctx);
       return true;
     }
   } else if (name == "timing") {
-    if (const auto a = artifacts_.find<TimingArtifact>(key)) {
-      ctx.timing_reports = a->reports;
-      ctx.context_stats = a->stats;
+    if (const auto a = find<TimingArtifact>(mu_, artifacts_, ctx)) {
+      restore(*a, ctx);
       return true;
     }
   } else if (name == "program") {
-    if (const auto a = artifacts_.find<ProgramArtifact>(key)) {
-      ctx.program = a->program;
-      ctx.program.switch_patterns.reserve(a->program_patterns.size());
-      for (std::size_t i = 0; i < a->program_patterns.size(); ++i) {
-        ctx.program.switch_patterns.push_back(a->program_patterns.pattern(i));
-      }
-      ctx.full_bitstream = config::Bitstream(a->bitstream_contexts);
-      for (std::size_t r = 0; r < a->rows.size(); ++r) {
-        ctx.full_bitstream.add_row(a->rows[r].name, a->rows[r].kind,
-                                   a->row_patterns.pattern(r));
-      }
+    if (const auto hit = find_interned<ProgramData, ProgramRestored>(
+            mu_, artifacts_, ctx)) {
+      ctx.program = hit.value->program;
+      ctx.program.switch_patterns = hit.restored->switch_patterns;
+      ctx.full_bitstream = hit.restored->bitstream;  // shares the rows
       return true;
     }
   } else if (name == "closure") {
-    if (const auto a = artifacts_.find<ClosureArtifact>(key)) {
-      ctx.spec = a->spec;
-      core::size_fabric_and_build_graph(ctx);
-      ctx.placement = a->placement;
-      ctx.timing_specs = a->timing_specs;
-      ctx.net_class = a->net_class;
-      ctx.sink_keys = a->sink_keys;
-      ctx.routing = materialize_routing(a->routing);
-      ctx.route_history = a->history;
-      ctx.timing_reports = a->reports;
-      ctx.context_stats = a->stats;
-      ctx.closure_stats = a->closure_stats;
+    if (const auto hit =
+            find_interned<ClosureData, SwitchPatterns>(mu_, artifacts_, ctx)) {
+      const ClosureData& a = *hit.value;
+      restore(a.place, ctx);
+      restore(a.route, *hit.restored, ctx);
+      restore(a.timing, ctx);
+      ctx.closure_stats = a.closure_stats;
       return true;
     }
   }
@@ -323,15 +469,29 @@ void FlowCache::after_stage(const char* stage, core::FlowContext& ctx) {
   if (!ctx.cache_key_valid) {
     return;
   }
-  const std::lock_guard<std::mutex> lock(mu_);
+  // Artifacts are copied out of the context before the lock is taken;
+  // only interning (which mutates the interner) and the store hold it.
   const std::uint64_t key = ctx.cache_key;
   const std::string_view name(stage);
+  const auto publish = [&](auto artifact, std::size_t bytes) {
+    using T = typename decltype(artifact)::element_type;
+    const std::lock_guard<std::mutex> lock(mu_);
+    artifacts_.store<T>(key, std::move(artifact), bytes);
+  };
+  const auto publish_interned = [&](auto artifact, std::size_t bytes,
+                                    const auto&... patterns) {
+    using T = typename decltype(artifact)::element_type;
+    const std::lock_guard<std::mutex> lock(mu_);
+    artifact->ids = PatternSet(&interner_);
+    (intern_all(artifact->ids, patterns), ...);
+    artifacts_.store<T>(key, std::move(artifact), bytes);
+  };
 
   if (name == "tech_map") {
     auto a = std::make_shared<TechMapArtifact>();
     a->netlist = ctx.netlist;
     const std::size_t bytes = bytes_of(a->netlist);
-    artifacts_.store<TechMapArtifact>(key, std::move(a), bytes);
+    publish(std::move(a), bytes);
   } else if (name == "sharing") {
     auto a = std::make_shared<SharingArtifact>();
     a->sharing = ctx.sharing;
@@ -341,12 +501,12 @@ void FlowCache::after_stage(const char* stage, core::FlowContext& ctx) {
       bytes += 24 + per_ctx.size() * 8;
     }
     bytes += a->sharing.classes.size() * 96 + a->uses.size() * 96;
-    artifacts_.store<SharingArtifact>(key, std::move(a), bytes);
+    publish(std::move(a), bytes);
   } else if (name == "plane_alloc") {
     auto a = std::make_shared<PlaneArtifact>();
     a->planes = ctx.planes;
     const std::size_t bytes = 128 + a->planes.slots.size() * 160;
-    artifacts_.store<PlaneArtifact>(key, std::move(a), bytes);
+    publish(std::move(a), bytes);
   } else if (name == "cluster") {
     auto a = std::make_shared<ClusterArtifact>();
     a->clusters = ctx.clusters;
@@ -366,73 +526,50 @@ void FlowCache::after_stage(const char* stage, core::FlowContext& ctx) {
     for (const auto& [n, drivers] : a->output_driver) {
       bytes += 48 + bytes_of(n) + drivers.size() * 8;
     }
-    artifacts_.store<ClusterArtifact>(key, std::move(a), bytes);
+    publish(std::move(a), bytes);
   } else if (name == "place") {
-    auto a = std::make_shared<PlaceArtifact>();
-    a->spec = ctx.spec;
-    a->placement = ctx.placement;
-    const std::size_t bytes = 128 + bytes_of(a->placement);
-    artifacts_.store<PlaceArtifact>(key, std::move(a), bytes);
+    auto a = std::make_shared<PlaceArtifact>(capture_place(ctx));
+    const std::size_t bytes = bytes_of(*a);
+    publish(std::move(a), bytes);
   } else if (name == "route") {
     auto a = std::make_shared<RouteArtifact>();
-    a->timing_specs = ctx.timing_specs;
-    a->net_class = ctx.net_class;
-    a->sink_keys = ctx.sink_keys;
-    a->routing = snapshot_routing(ctx.routing, interner_);
-    a->history = ctx.route_history;
-    const std::size_t bytes = bytes_of(a->timing_specs) +
-                              sink_keys_bytes(a->sink_keys) +
-                              bytes_of(a->routing.routing) +
-                              a->routing.patterns.size() * 4 +
-                              bytes_of(a->history);
-    artifacts_.store<RouteArtifact>(key, std::move(a), bytes);
-  } else if (name == "timing") {
-    auto a = std::make_shared<TimingArtifact>();
-    a->reports = ctx.timing_reports;
-    a->stats = ctx.context_stats;
+    a->value = std::make_shared<const RouteData>(capture_route(ctx));
     const std::size_t bytes =
-        bytes_of(a->reports) + a->stats.size() * sizeof(core::ContextStats);
-    artifacts_.store<TimingArtifact>(key, std::move(a), bytes);
+        bytes_of(*a->value) + ctx.routing.switch_patterns.size() * 4;
+    publish_interned(std::move(a), bytes, ctx.routing.switch_patterns);
+  } else if (name == "timing") {
+    auto a = std::make_shared<TimingArtifact>(capture_timing(ctx));
+    const std::size_t bytes = bytes_of(*a);
+    publish(std::move(a), bytes);
   } else if (name == "program") {
-    auto a = std::make_shared<ProgramArtifact>();
-    a->program = ctx.program;
-    a->program_patterns = PatternSet(&interner_);
-    for (const auto& pattern : a->program.switch_patterns) {
-      a->program_patterns.add(pattern);
-    }
-    a->program.switch_patterns.clear();
-    a->row_patterns = PatternSet(&interner_);
-    a->rows.reserve(ctx.full_bitstream.num_rows());
+    auto data = std::make_shared<ProgramData>();
+    data->program = copy_without_switch_patterns(ctx.program);
+    data->rows.reserve(ctx.full_bitstream.num_rows());
     for (const auto& row : ctx.full_bitstream.rows()) {
-      a->rows.push_back(ProgramArtifact::Row{row.name, row.kind});
-      a->row_patterns.add(row.pattern);
+      data->rows.push_back(ProgramData::Row{row.name, row.kind});
     }
-    a->bitstream_contexts = ctx.full_bitstream.num_contexts();
-    std::size_t bytes = 256 + a->program.lbs.size() * 256 +
-                        (a->program_patterns.size() +
-                         a->row_patterns.size()) * 4;
-    for (const auto& row : a->rows) {
+    data->bitstream_contexts = ctx.full_bitstream.num_contexts();
+    std::size_t bytes = 256 + data->program.lbs.size() * 256 +
+                        (ctx.program.switch_patterns.size() +
+                         data->rows.size()) * 4;
+    for (const auto& row : data->rows) {
       bytes += 16 + bytes_of(row.name);
     }
-    artifacts_.store<ProgramArtifact>(key, std::move(a), bytes);
+    auto a = std::make_shared<ProgramArtifact>();
+    a->value = std::move(data);
+    publish_interned(std::move(a), bytes, ctx.program.switch_patterns,
+                     ctx.full_bitstream.rows());
   } else if (name == "closure") {
     auto a = std::make_shared<ClosureArtifact>();
-    a->spec = ctx.spec;
-    a->placement = ctx.placement;
-    a->timing_specs = ctx.timing_specs;
-    a->net_class = ctx.net_class;
-    a->sink_keys = ctx.sink_keys;
-    a->routing = snapshot_routing(ctx.routing, interner_);
-    a->history = ctx.route_history;
-    a->reports = ctx.timing_reports;
-    a->stats = ctx.context_stats;
-    a->closure_stats = ctx.closure_stats;
+    a->value = std::make_shared<const ClosureData>(
+        ClosureData{capture_place(ctx), capture_route(ctx),
+                    capture_timing(ctx), ctx.closure_stats});
+    const ClosureData& data = *a->value;
     const std::size_t bytes =
-        128 + bytes_of(a->placement) + bytes_of(a->timing_specs) +
-        sink_keys_bytes(a->sink_keys) + bytes_of(a->routing.routing) +
-        bytes_of(a->history) + bytes_of(a->reports) +
-        a->closure_stats.size() * sizeof(core::ClosureIterationStats);
-    artifacts_.store<ClosureArtifact>(key, std::move(a), bytes);
+        bytes_of(data.place) + bytes_of(data.route) + bytes_of(data.timing) +
+        data.closure_stats.size() * sizeof(core::ClosureIterationStats) +
+        ctx.routing.switch_patterns.size() * 4;
+    publish_interned(std::move(a), bytes, ctx.routing.switch_patterns);
   }
 }
 

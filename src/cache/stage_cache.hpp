@@ -13,13 +13,21 @@
 // Stored artifacts are immutable value snapshots.  Switch patterns and
 // bitstream rows go through the PatternInterner, so a corpus of cached
 // designs stores each distinct ContextPattern once; artifacts hold
-// refcounted ids (PatternSet) and release them when evicted.
+// refcounted ids (PatternSet) and release them when evicted.  The interned
+// ids stay the stored form: the first hit on a route, program or closure
+// artifact materializes its patterns once into a shared immutable
+// snapshot, and every later hit copies from that snapshot (a program hit
+// shares the snapshot's bitstream rows outright, config::Bitstream being
+// copy-on-write).
 //
 // Thread safety: the store and interner themselves are not thread-safe,
-// so FlowCache serializes every hook call (and the stats snapshot) behind
-// one mutex — that is what lets the serve daemon run concurrent compile
-// jobs against ONE shared cache.  Stage execution (the expensive part)
-// happens outside the hook, so jobs only contend on lookup/publish.
+// so one mutex guards them.  A hook call holds it only for the map lookup
+// (plus the one-time materialization) and for interning + storing a
+// published artifact.  Restores copy out of interner-free shared_ptr
+// snapshots with the mutex released, so the serve daemon's concurrent jobs
+// restore in parallel from ONE shared cache; an artifact evicted
+// mid-restore stays alive until its reader drops it.  Artifacts holding
+// interner ids are only ever released under the mutex.
 #pragma once
 
 #include <cstddef>
@@ -38,6 +46,7 @@ class FlowCache : public core::StageCacheHook {
   /// Seeds ctx.cache_key from ctx's inputs and points ctx.cache at this.
   void attach(core::FlowContext& ctx);
 
+  /// Counts the lookup into ctx.cache_hits / ctx.cache_misses.
   bool before_stage(const char* stage, core::FlowContext& ctx) override;
   void after_stage(const char* stage, core::FlowContext& ctx) override;
 

@@ -1,5 +1,6 @@
 #include "common/bitvector.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/error.hpp"
@@ -15,7 +16,12 @@ std::size_t word_count(std::size_t bits) {
 }  // namespace
 
 BitVector::BitVector(std::size_t size, bool value) : size_(size) {
-  words_.assign(word_count(size), value ? ~std::uint64_t{0} : 0);
+  const std::uint64_t fill = value ? ~std::uint64_t{0} : 0;
+  if (size > kInlineBits) {
+    heap_.assign(word_count(size), fill);
+  } else {
+    inline_ = fill;
+  }
   mask_tail();
 }
 
@@ -33,10 +39,8 @@ BitVector BitVector::from_string(const std::string& bits) {
 BitVector BitVector::from_word(std::uint64_t word, std::size_t size) {
   MCFPGA_REQUIRE(size <= kWordBits, "from_word supports at most 64 bits");
   BitVector v(size);
-  if (size > 0) {
-    v.words_[0] = word;
-    v.mask_tail();
-  }
+  v.inline_ = word;
+  v.mask_tail();
   return v;
 }
 
@@ -48,50 +52,56 @@ void BitVector::check_index(std::size_t i) const {
 }
 
 void BitVector::mask_tail() {
+  const std::size_t n = num_words();
+  if (n == 0) {
+    inline_ = 0;
+    return;
+  }
   const std::size_t tail = size_ % kWordBits;
-  if (tail != 0 && !words_.empty()) {
-    words_.back() &= (std::uint64_t{1} << tail) - 1;
+  if (tail != 0) {
+    data()[n - 1] &= (std::uint64_t{1} << tail) - 1;
   }
 }
 
 bool BitVector::get(std::size_t i) const {
   check_index(i);
-  return (words_[i / kWordBits] >> (i % kWordBits)) & 1u;
+  return (data()[i / kWordBits] >> (i % kWordBits)) & 1u;
 }
 
 void BitVector::set(std::size_t i, bool value) {
   check_index(i);
   const std::uint64_t mask = std::uint64_t{1} << (i % kWordBits);
   if (value) {
-    words_[i / kWordBits] |= mask;
+    data()[i / kWordBits] |= mask;
   } else {
-    words_[i / kWordBits] &= ~mask;
+    data()[i / kWordBits] &= ~mask;
   }
 }
 
 void BitVector::flip(std::size_t i) {
   check_index(i);
-  words_[i / kWordBits] ^= std::uint64_t{1} << (i % kWordBits);
+  data()[i / kWordBits] ^= std::uint64_t{1} << (i % kWordBits);
 }
 
 void BitVector::fill(bool value) {
-  for (auto& w : words_) {
-    w = value ? ~std::uint64_t{0} : 0;
-  }
+  std::fill_n(data(), num_words(), value ? ~std::uint64_t{0} : 0);
   mask_tail();
 }
 
 void BitVector::push_back(bool value) {
   ++size_;
-  if (word_count(size_) > words_.size()) {
-    words_.push_back(0);
+  if (size_ == kInlineBits + 1) {
+    heap_ = {inline_, 0};  // outgrew the inline word
+    inline_ = 0;
+  } else if (size_ > kInlineBits && word_count(size_) > heap_.size()) {
+    heap_.push_back(0);
   }
   set(size_ - 1, value);
 }
 
 std::size_t BitVector::popcount() const {
   std::size_t n = 0;
-  for (const auto w : words_) {
+  for (const auto w : words()) {
     n += static_cast<std::size_t>(std::popcount(w));
   }
   return n;
@@ -103,16 +113,18 @@ bool BitVector::all_equal(bool value) const {
 
 std::size_t BitVector::hamming_distance(const BitVector& other) const {
   MCFPGA_REQUIRE(size_ == other.size_, "hamming_distance size mismatch");
+  const std::uint64_t* a = data();
+  const std::uint64_t* b = other.data();
   std::size_t n = 0;
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    n += static_cast<std::size_t>(std::popcount(words_[i] ^ other.words_[i]));
+  for (std::size_t i = 0; i < num_words(); ++i) {
+    n += static_cast<std::size_t>(std::popcount(a[i] ^ b[i]));
   }
   return n;
 }
 
 std::uint64_t BitVector::to_word() const {
   MCFPGA_REQUIRE(size_ <= kWordBits, "to_word requires at most 64 bits");
-  return words_.empty() ? 0 : words_[0];
+  return inline_;
 }
 
 std::string BitVector::to_string() const {
@@ -126,36 +138,43 @@ std::string BitVector::to_string() const {
 }
 
 bool BitVector::operator==(const BitVector& other) const {
-  return size_ == other.size_ && words_ == other.words_;
+  return size_ == other.size_ &&
+         std::equal(data(), data() + num_words(), other.data());
 }
 
 BitVector& BitVector::operator^=(const BitVector& other) {
   MCFPGA_REQUIRE(size_ == other.size_, "operator^= size mismatch");
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    words_[i] ^= other.words_[i];
+  std::uint64_t* a = data();
+  const std::uint64_t* b = other.data();
+  for (std::size_t i = 0; i < num_words(); ++i) {
+    a[i] ^= b[i];
   }
   return *this;
 }
 
 BitVector& BitVector::operator&=(const BitVector& other) {
   MCFPGA_REQUIRE(size_ == other.size_, "operator&= size mismatch");
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    words_[i] &= other.words_[i];
+  std::uint64_t* a = data();
+  const std::uint64_t* b = other.data();
+  for (std::size_t i = 0; i < num_words(); ++i) {
+    a[i] &= b[i];
   }
   return *this;
 }
 
 BitVector& BitVector::operator|=(const BitVector& other) {
   MCFPGA_REQUIRE(size_ == other.size_, "operator|= size mismatch");
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    words_[i] |= other.words_[i];
+  std::uint64_t* a = data();
+  const std::uint64_t* b = other.data();
+  for (std::size_t i = 0; i < num_words(); ++i) {
+    a[i] |= b[i];
   }
   return *this;
 }
 
 std::size_t BitVector::hash() const {
   std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (const auto w : words_) {
+  for (const auto w : words()) {
     h ^= w;
     h *= 1099511628211ull;  // FNV prime
   }

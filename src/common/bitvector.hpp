@@ -2,10 +2,14 @@
 // bitstream storage.  std::vector<bool> is avoided on purpose: BitVector
 // exposes word-level access (needed by the redundancy statistics, which
 // popcount whole planes) and has unambiguous copy/compare semantics.
+//
+// Vectors of up to 64 bits (every ContextPattern, most LUT tables) keep
+// their word inline, so creating or copying one never allocates.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,16 +58,30 @@ class BitVector {
   BitVector& operator|=(const BitVector& other);
 
   /// Word-level access for statistics kernels. Tail bits beyond size() are 0.
-  const std::vector<std::uint64_t>& words() const { return words_; }
+  std::span<const std::uint64_t> words() const {
+    return {data(), num_words()};
+  }
 
   /// FNV-1a hash over the significant bits (usable as an unordered_map key).
   std::size_t hash() const;
 
  private:
+  static constexpr std::size_t kInlineBits = 64;
+
+  std::size_t num_words() const { return (size_ + 63) / 64; }
+  const std::uint64_t* data() const {
+    return size_ <= kInlineBits ? &inline_ : heap_.data();
+  }
+  std::uint64_t* data() {
+    return size_ <= kInlineBits ? &inline_ : heap_.data();
+  }
   void check_index(std::size_t i) const;
   void mask_tail();
 
-  std::vector<std::uint64_t> words_;
+  /// The bits when size_ > kInlineBits (one entry per word); else empty.
+  std::vector<std::uint64_t> heap_;
+  /// The bits when size_ <= kInlineBits; else 0.
+  std::uint64_t inline_ = 0;
   std::size_t size_ = 0;
 };
 

@@ -7,9 +7,16 @@
 // proposed fabric (which synthesizes each row into switch elements) consume
 // the same Bitstream, so the two area evaluations are guaranteed to describe
 // the same design.
+//
+// Rows are copy-on-write: copying a Bitstream shares its row storage (a
+// refcount bump, however many rows), and add_row()/append() clone the
+// storage only when another Bitstream still shares it.  A stage-cache hit
+// therefore hands out a design's bitstream without copying a row.  Shared
+// storage is never mutated, so copies may be read from several threads.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,8 +48,8 @@ class Bitstream {
   explicit Bitstream(std::size_t num_contexts);
 
   std::size_t num_contexts() const { return num_contexts_; }
-  std::size_t num_rows() const { return rows_.size(); }
-  bool empty() const { return rows_.empty(); }
+  std::size_t num_rows() const { return rows().size(); }
+  bool empty() const { return rows().empty(); }
 
   /// Appends a row; its pattern must span exactly num_contexts() contexts.
   /// Returns the row index.
@@ -50,7 +57,14 @@ class Bitstream {
                       ContextPattern pattern);
 
   const BitstreamRow& row(std::size_t index) const;
-  const std::vector<BitstreamRow>& rows() const { return rows_; }
+  const std::vector<BitstreamRow>& rows() const {
+    return rows_ ? *rows_ : kNoRows;
+  }
+
+  /// True when both bitstreams read the same (non-empty) row storage.
+  bool shares_rows_with(const Bitstream& other) const {
+    return rows_ != nullptr && rows_ == other.rows_;
+  }
 
   /// Number of rows of a given resource kind.
   std::size_t count_kind(ResourceKind kind) const;
@@ -62,8 +76,14 @@ class Bitstream {
   void append(const Bitstream& other);
 
  private:
+  /// The row storage, cloned first when another Bitstream shares it.
+  std::vector<BitstreamRow>& writable_rows();
+
+  static const std::vector<BitstreamRow> kNoRows;
+
   std::size_t num_contexts_;
-  std::vector<BitstreamRow> rows_;
+  /// Null until the first row; shared between copies.
+  std::shared_ptr<std::vector<BitstreamRow>> rows_;
 };
 
 }  // namespace mcfpga::config

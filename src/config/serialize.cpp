@@ -64,19 +64,35 @@ ResourceKind parse_kind(const std::string& token, std::size_t line) {
 }  // namespace
 
 void write_bitstream(std::ostream& os, const Bitstream& bitstream) {
-  os << kMagic << "\n";
-  os << "contexts " << bitstream.num_contexts() << "\n";
-  os << "rows " << bitstream.num_rows() << "\n";
-  for (const auto& row : bitstream.rows()) {
-    os << row.name << ' ' << to_string(row.kind) << ' '
-       << row.pattern.to_string() << "\n";
-  }
+  os << to_text(bitstream);
 }
 
 std::string to_text(const Bitstream& bitstream) {
-  std::ostringstream os;
-  write_bitstream(os, bitstream);
-  return os.str();
+  // Built in one string rather than through a stream: the daemon encodes
+  // a full bitstream (tens of thousands of rows) into every reply.
+  const std::size_t n = bitstream.num_contexts();
+  std::string out = std::string(kMagic) + "\ncontexts " + std::to_string(n) +
+                    "\nrows " + std::to_string(bitstream.num_rows()) + "\n";
+  std::size_t bytes = out.size();
+  for (const auto& row : bitstream.rows()) {
+    bytes += row.name.size() + 16 + n;
+  }
+  out.reserve(bytes);
+  const std::string kinds[] = {to_string(ResourceKind::kRoutingSwitch),
+                               to_string(ResourceKind::kLutBit),
+                               to_string(ResourceKind::kControlBit)};
+  for (const auto& row : bitstream.rows()) {
+    out += row.name;
+    out += ' ';
+    out += kinds[static_cast<std::size_t>(row.kind)];
+    out += ' ';
+    // MSB-first, as ContextPattern::to_string renders it.
+    for (std::size_t c = n; c-- > 0;) {
+      out += row.pattern.value_in(c) ? '1' : '0';
+    }
+    out += '\n';
+  }
+  return out;
 }
 
 Bitstream read_bitstream(std::istream& is) {

@@ -129,9 +129,10 @@ struct ContextStats {
 
 /// Stage-cache and delta-recompile accounting of the compile that produced
 /// a design.  All-zero (the default) for plain uncached compile() calls;
-/// cache::CompileService fills it from its ArtifactCache counters and, on
-/// the delta path, from the edit diff.
+/// cache::CompileService fills it from the compile's own stage lookups, its
+/// ArtifactCache counters and, on the delta path, from the edit diff.
 struct CacheStats {
+  /// This compile's stage lookups (never another concurrent compile's):
   std::size_t hits = 0;       ///< Stage artifacts served from cache.
   std::size_t misses = 0;     ///< Stage lookups that ran the stage.
   std::size_t evictions = 0;  ///< LRU evictions so far (cache lifetime).

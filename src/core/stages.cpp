@@ -291,10 +291,17 @@ void size_fabric_and_build_graph(FlowContext& ctx) {
                     std::to_string(ctx.spec.num_cells()) +
                     " cells available");
   }
-  ctx.graph = std::make_unique<arch::RoutingGraph>(ctx.spec);
+  ctx.graph = std::make_shared<const arch::RoutingGraph>(ctx.spec);
   if (ctx.graph->num_pads() < ctx.num_terminals) {
     throw FlowError("fabric has too few I/O pads");
   }
+}
+
+const arch::RoutingGraph& routing_graph(FlowContext& ctx) {
+  if (!ctx.graph) {
+    ctx.graph = std::make_shared<const arch::RoutingGraph>(ctx.spec);
+  }
+  return *ctx.graph;
 }
 
 std::map<std::size_t, double> logic_depth_class_criticality(FlowContext& ctx) {
@@ -414,8 +421,8 @@ void RouteStage::run(FlowContext& ctx) const {
   ctx.sink_keys = std::move(ft.sink_keys);
   ctx.flow_timing.reset();  // contents were moved out; the cache is spent
 
+  const route::Router router(routing_graph(ctx), ctx.options.router);
   ctx.nets_per_context = build_route_nets(ctx);
-  const route::Router router(*ctx.graph, ctx.options.router);
   // The history carry only matters when the loop will route again; the
   // extra output does not perturb the routing itself.
   route::RouteHistory* history =
@@ -560,7 +567,7 @@ std::size_t append_lb_rows(config::Bitstream& bitstream,
 
 void ProgramStage::run(FlowContext& ctx) const {
   const std::size_t n = ctx.spec.num_contexts;
-  const arch::RoutingGraph& graph = *ctx.graph;
+  const arch::RoutingGraph& graph = routing_graph(ctx);
 
   ctx.program.switch_patterns = ctx.routing.switch_patterns;
   for (std::size_t k = 0; k < ctx.clusters.size(); ++k) {

@@ -12,7 +12,8 @@
 //   SharingStage    -> ctx.sharing, ctx.uses
 //   PlaneAllocStage -> ctx.planes
 //   ClusterStage    -> ctx.clusters, slot maps, I/O terminal tables
-//   PlaceStage      -> ctx.spec (auto-grown), ctx.graph, ctx.placement
+//   PlaceStage      -> ctx.spec (auto-grown), ctx.graph (see
+//                      routing_graph()), ctx.placement
 //   RouteStage      -> ctx.nets_per_context, ctx.timing_specs,
 //                      ctx.net_class, ctx.sink_keys, ctx.routing
 //   TimingStage     -> ctx.timing_reports, ctx.context_stats
@@ -131,7 +132,11 @@ struct FlowContext {
   std::size_t num_terminals = 0;
 
   // --- PlaceStage ---------------------------------------------------------
-  std::unique_ptr<arch::RoutingGraph> graph;
+  /// Deterministic in the grown spec.  PlaceStage builds it; a place cache
+  /// hit restores only the spec and leaves it null, and routing_graph()
+  /// builds it on first use by a stage that actually runs, so a flow
+  /// satisfied entirely from cache never builds one.
+  std::shared_ptr<const arch::RoutingGraph> graph;
   place::Placement placement;
   /// Logical connection structure cached by PlaceStage in timing mode (it
   /// is placement-independent); RouteStage consumes and clears it,
@@ -188,6 +193,10 @@ struct FlowContext {
   /// the hook; meaningless while cache_key_valid is false.
   std::uint64_t cache_key = 0;
   bool cache_key_valid = false;
+  /// This flow's own stage lookups, counted by the hook (a shared cache's
+  /// global counters also see every concurrent flow's lookups).
+  std::size_t cache_hits = 0;
+  std::size_t cache_misses = 0;
 };
 
 /// One pipeline stage.  Stages are stateless; all state lives in the
@@ -258,13 +267,16 @@ PlacementBuild build_placement_problem(const FlowContext& ctx);
 void apply_class_criticality(PlacementBuild& build,
                              const std::map<std::size_t, double>& by_class);
 
-/// PlaceStage's fabric-sizing step, exposed for cache-hit replay and the
-/// delta-recompile driver: auto-grows ctx.spec (square-ish) until clusters
-/// and I/O terminals fit (options.auto_size), validates capacity (throws
-/// FlowError otherwise), and (re)builds ctx.graph — which is deterministic
-/// in the grown spec, so a cached placement plus this call reproduces
-/// PlaceStage's physical world exactly.
+/// PlaceStage's fabric-sizing step, exposed for the delta-recompile
+/// driver: auto-grows ctx.spec (square-ish) until clusters and I/O
+/// terminals fit (options.auto_size), validates capacity (throws
+/// FlowError otherwise), and (re)builds ctx.graph.
 void size_fabric_and_build_graph(FlowContext& ctx);
+
+/// ctx.graph, built from ctx.spec first when it is null (after a place or
+/// closure cache hit).  The graph is deterministic in the grown spec, so a
+/// restored spec plus this call reproduces PlaceStage's physical world.
+const arch::RoutingGraph& routing_graph(FlowContext& ctx);
 
 /// The pre-route timing prior PlaceStage folds into net weights in placer
 /// timing mode: per driver class, the worst unit-switch (logic depth) STA
@@ -280,7 +292,7 @@ std::uint64_t resolved_placer_seed(const CompileOptions& options);
 
 /// Maps the logical nets (ctx.net_class / ctx.sink_keys, filled by
 /// RouteStage) onto physical routing-graph nodes under ctx.placement —
-/// the re-route half of a closure iteration.
+/// the re-route half of a closure iteration.  Requires ctx.graph.
 std::vector<std::vector<route::RouteNet>> build_route_nets(
     const FlowContext& ctx);
 

@@ -74,6 +74,7 @@ std::uint64_t CompileDaemon::submit_frame(const std::string& frame) {
   // Parse the netlist up front: malformed jobs are rejected at submit
   // time with the serializer's line-numbered error, never queued.
   session->netlist = config::netlist_from_text(session->request.netlist_text);
+  std::string().swap(session->request.netlist_text);  // parsed: spent
   if (session->request.deadline_ms != 0) {
     session->has_deadline = true;
     session->deadline = SteadyClock::now() +
@@ -95,7 +96,7 @@ bool CompileDaemon::cancel(std::uint64_t job_id) {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = sessions_.find(job_id);
   if (it == sessions_.end()) {
-    return false;
+    return false;  // unknown, or finished and collected
   }
   const std::shared_ptr<Session>& session = it->second;
   switch (session->fsm.state()) {
@@ -121,25 +122,54 @@ bool CompileDaemon::cancel(std::uint64_t job_id) {
 
 std::vector<std::string> CompileDaemon::wait(std::uint64_t job_id) {
   std::unique_lock<std::mutex> lock(mu_);
-  const auto it = sessions_.find(job_id);
-  MCFPGA_REQUIRE(it != sessions_.end(),
-                 "wait: unknown job " + std::to_string(job_id));
+  const auto not_waitable = [&] {
+    return InvalidArgument(
+        finished_.count(job_id) != 0
+            ? "wait: job " + std::to_string(job_id) +
+                  "'s stream was already handed out"
+            : "wait: unknown job " + std::to_string(job_id));
+  };
+  auto it = sessions_.find(job_id);
+  if (it == sessions_.end()) {
+    throw not_waitable();
+  }
   const std::shared_ptr<Session> session = it->second;
   cv_.wait(lock, [&] { return session->reply_ready; });
-  return session->stream;
+  // A concurrent wait() on the same job may have taken the stream first.
+  it = sessions_.find(job_id);
+  if (it == sessions_.end()) {
+    throw not_waitable();
+  }
+  // The stream is immutable once reply_ready is set, so handing it out is
+  // a move; the job then shrinks to its final FSM state.
+  std::vector<std::string> stream = std::move(session->stream);
+  finished_.emplace(job_id, session->fsm.state());
+  sessions_.erase(it);
+  return stream;
 }
 
 SessionState CompileDaemon::state(std::uint64_t job_id) const {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = sessions_.find(job_id);
-  MCFPGA_REQUIRE(it != sessions_.end(),
+  if (it != sessions_.end()) {
+    return it->second->fsm.state();
+  }
+  const auto done = finished_.find(job_id);
+  MCFPGA_REQUIRE(done != finished_.end(),
                  "state: unknown job " + std::to_string(job_id));
-  return it->second->fsm.state();
+  return done->second;
 }
 
 CompileDaemon::Stats CompileDaemon::stats() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  Stats s = stats_;
+  for (const auto& [id, session] : sessions_) {
+    for (const std::string& frame : session->stream) {
+      s.retained_bytes += frame.size();
+    }
+  }
+  s.retained_designs = completed_.size();
+  return s;
 }
 
 void CompileDaemon::stop() {
@@ -232,6 +262,9 @@ void CompileDaemon::run_job(const std::shared_ptr<Session>& session) {
     reply.error = e.what();
     finalize(session, SessionEvent::kFail, std::move(reply));
   }
+  // The parsed input is spent.  Only this worker ever reads it, so it is
+  // freed here, outside the lock.
+  session->netlist = netlist::MultiContextNetlist();
 }
 
 void CompileDaemon::finalize(const std::shared_ptr<Session>& session,
@@ -279,11 +312,17 @@ std::shared_ptr<const cache::Compiled> CompileDaemon::find_completed(
 
 void CompileDaemon::retain_completed(const std::string& job,
                                      cache::Compiled design) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  completed_.emplace_back(
-      job, std::make_shared<const cache::Compiled>(std::move(design)));
-  while (completed_.size() > options_.max_completed) {
-    completed_.pop_front();
+  auto retained = std::make_shared<const cache::Compiled>(std::move(design));
+  // Evicted designs are freed after the lock is released: freeing a large
+  // design would otherwise stall every worker's progress frames.
+  std::vector<std::shared_ptr<const cache::Compiled>> evicted;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    completed_.emplace_back(job, std::move(retained));
+    while (completed_.size() > options_.max_completed) {
+      evicted.push_back(std::move(completed_.front().second));
+      completed_.pop_front();
+    }
   }
 }
 

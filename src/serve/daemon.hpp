@@ -18,10 +18,13 @@
 //
 // Repeat jobs hit the shared FlowCache (bit-identical artifact replay),
 // and recently completed designs are retained — bounded — so later
-// requests can delta-recompile from them by name.  Determinism contract:
-// the reply bitstream for a given request is byte-identical to a direct
-// CompileService::compile of the same inputs, for any worker count and
-// any mix of concurrent sessions (tests/test_serve.cpp enforces it).
+// requests can delta-recompile from them by name.  Per-job memory is
+// bounded too: a job drops its inputs once compiled, and wait() hands its
+// frame stream out once, after which only the job's final FSM state
+// remains.  Determinism contract: the reply bitstream for a given request
+// is byte-identical to a direct CompileService::compile of the same
+// inputs, for any worker count and any mix of concurrent sessions
+// (tests/test_serve.cpp enforces it).
 //
 // In-process by design: ServeClient (serve/client.hpp) talks to the
 // daemon through encoded frames, exercising the whole wire path without
@@ -61,8 +64,10 @@ struct DaemonOptions {
 /// without taking the lock on the hot path.
 struct Session {
   std::uint64_t id = 0;
+  /// netlist_text is dropped once parsed into `netlist`.
   CompileRequest request;
-  /// Parsed at submit time, so malformed netlists never queue.
+  /// Parsed at submit time, so malformed netlists never queue; dropped
+  /// once the job's compile is over.
   netlist::MultiContextNetlist netlist;
   SessionFsm fsm;
   std::atomic<bool> cancel{false};
@@ -94,7 +99,10 @@ class CompileDaemon {
   bool cancel(std::uint64_t job_id);
 
   /// Blocks until the job is terminal; returns its frame stream
-  /// (progress frames in stage order, then exactly one reply frame).
+  /// (progress frames in stage order, then exactly one reply frame).  The
+  /// stream is handed out once: the daemon then keeps only the job's
+  /// final state (state() still answers), and a second wait() on the job
+  /// throws InvalidArgument.
   std::vector<std::string> wait(std::uint64_t job_id);
 
   SessionState state(std::uint64_t job_id) const;
@@ -104,6 +112,11 @@ class CompileDaemon {
     std::size_t done = 0;
     std::size_t cancelled = 0;
     std::size_t failed = 0;
+    /// Frame-stream bytes held for jobs whose stream wait() has not
+    /// handed out yet.
+    std::size_t retained_bytes = 0;
+    /// Completed designs kept as delta bases (<= max_completed).
+    std::size_t retained_designs = 0;
   };
   Stats stats() const;
 
@@ -135,6 +148,8 @@ class CompileDaemon {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::map<std::uint64_t, std::shared_ptr<Session>> sessions_;
+  /// Jobs whose stream wait() handed out: only the final state remains.
+  std::map<std::uint64_t, SessionState> finished_;
   /// Recently completed designs, FIFO-bounded by max_completed.
   std::deque<std::pair<std::string, std::shared_ptr<const cache::Compiled>>>
       completed_;

@@ -2,12 +2,16 @@
 // driver (src/cache/): cache-enabled compiles are bit-identical to
 // uncached ones (cold and warm, across timing modes and closure), cache
 // hits are shared across worker counts, the LRU bounds hold, pattern
-// interning refcounts compose with eviction, and delta recompiles of
+// interning refcounts compose with eviction, concurrent hits restore
+// correctly while evictions land mid-restore, and delta recompiles of
 // edited netlists stay functionally correct with full-recompile QoR.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -18,6 +22,7 @@
 #include "common/rng.hpp"
 #include "config/serialize.hpp"
 #include "core/flow.hpp"
+#include "core/stages.hpp"
 #include "netlist/eval.hpp"
 #include "sim/simulator.hpp"
 #include "workload/circuits.hpp"
@@ -204,6 +209,162 @@ TEST(StageCache, HitsAreSharedAcrossWorkerCounts) {
   // content keys: the parallel compile is a pure replay.
   EXPECT_EQ(warm.design.cache.misses, 0u);
   expect_same_design(cold.design, warm.design);
+}
+
+// --- cheap hits --------------------------------------------------------------
+
+core::FlowContext cached_flow(FlowCache& cache,
+                              const netlist::MultiContextNetlist& nl,
+                              const arch::FabricSpec& spec,
+                              std::size_t num_stages = 8) {
+  core::FlowContext ctx = core::make_flow_context(nl, spec, {});
+  cache.attach(ctx);
+  const auto& pipeline = core::default_pipeline();
+  core::run_pipeline(ctx, {pipeline.begin(), pipeline.begin() + num_stages});
+  return ctx;
+}
+
+TEST(StageCache, FullHitBuildsNoGraphAndSharesBitstreamRows) {
+  const auto nl = four_context_workload();
+  const auto spec = small_spec();
+  FlowCache cache;
+  const core::FlowContext cold = cached_flow(cache, nl, spec);
+  EXPECT_EQ(cold.cache_misses, 8u);
+  EXPECT_NE(cold.graph, nullptr);
+
+  const core::FlowContext first = cached_flow(cache, nl, spec);
+  const core::FlowContext second = cached_flow(cache, nl, spec);
+  EXPECT_EQ(first.cache_hits, 8u);
+  EXPECT_EQ(first.cache_misses, 0u);
+  // A place hit restores the grown spec only; no stage ran to need a graph.
+  EXPECT_EQ(first.graph, nullptr);
+  EXPECT_EQ(first.spec.width, cold.spec.width);
+  EXPECT_EQ(first.spec.height, cold.spec.height);
+  // Both hits hand out the artifact's one restored bitstream: no row copy.
+  EXPECT_TRUE(first.full_bitstream.shares_rows_with(second.full_bitstream));
+  EXPECT_FALSE(first.full_bitstream.shares_rows_with(cold.full_bitstream));
+  EXPECT_EQ(config::to_text(first.full_bitstream),
+            config::to_text(cold.full_bitstream));
+}
+
+TEST(StageCache, StageAfterAPlaceHitBuildsTheGraphOnDemand) {
+  // Publish tech_map..place only, so the next flow hits through place and
+  // then runs route (which needs the graph the place hit did not build).
+  const auto nl = four_context_workload();
+  const auto spec = small_spec();
+  FlowCache cache;
+  cached_flow(cache, nl, spec, 5);
+  core::FlowContext ctx = cached_flow(cache, nl, spec);
+  EXPECT_EQ(ctx.cache_hits, 5u);
+  EXPECT_EQ(ctx.cache_misses, 3u);
+  EXPECT_NE(ctx.graph, nullptr);
+  expect_same_design(core::compile(nl, spec),
+                     core::finalize_design(std::move(ctx)));
+}
+
+/// Placement, routing and bitstream of a design, as one comparable string.
+std::string fingerprint(const core::CompiledDesign& d) {
+  std::ostringstream os;
+  for (const auto& [x, y] : d.placement.cluster_pos) {
+    os << x << ',' << y << ' ';
+  }
+  for (const std::size_t pad : d.placement.io_pads) {
+    os << pad << ' ';
+  }
+  for (const auto& nets : d.routing.nets) {
+    for (const auto& net : nets) {
+      for (const auto& path : net.paths) {
+        for (const auto e : path.edges) {
+          os << e << ' ';
+        }
+      }
+    }
+  }
+  os << '\n' << config::to_text(d.full_bitstream);
+  return os.str();
+}
+
+TEST(StageCache, ConcurrentHitsSurviveEvictionsMidRestore) {
+  // Four threads repeat three warmed designs while a fifth publishes fresh
+  // ones into a cache that holds about one design, so entries are evicted
+  // while other threads restore from them.  Every result must equal a
+  // serial, uncached compile bit for bit.
+  const auto spec = small_spec();
+  core::CompileOptions opts;
+  opts.placer.num_threads = 1;
+  opts.router.num_threads = 1;
+  const std::vector<netlist::MultiContextNetlist> warm = {
+      four_context_workload(6), four_context_workload(8), unshared_workload()};
+  std::vector<netlist::MultiContextNetlist> fresh;
+  for (const std::size_t width : {5u, 7u, 9u, 10u}) {
+    fresh.push_back(four_context_workload(width));
+  }
+  std::vector<std::string> want_warm;
+  for (const auto& nl : warm) {
+    want_warm.push_back(fingerprint(core::compile(nl, spec, opts)));
+  }
+  std::vector<std::string> want_fresh;
+  for (const auto& nl : fresh) {
+    want_fresh.push_back(fingerprint(core::compile(nl, spec, opts)));
+  }
+
+  IncrementalOptions tiny;
+  tiny.limits.max_entries = 10;
+  CompileService service(tiny);
+  for (const auto& nl : warm) {
+    service.compile(nl, spec, opts);
+  }
+
+  constexpr std::size_t kReaders = 4;
+  constexpr std::size_t kRepeats = 4;
+  std::vector<std::vector<std::string>> got(kReaders);
+  std::vector<std::string> published(fresh.size());
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 0; t < kReaders; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t r = 0; r < kRepeats; ++r) {
+          const auto& nl = warm[(t + r) % warm.size()];
+          got[t].push_back(
+              fingerprint(service.compile(nl, spec, opts).design));
+        }
+      });
+    }
+    threads.emplace_back([&] {
+      for (std::size_t i = 0; i < fresh.size(); ++i) {
+        published[i] =
+            fingerprint(service.compile(fresh[i], spec, opts).design);
+      }
+    });
+  }
+  for (std::size_t t = 0; t < kReaders; ++t) {
+    ASSERT_EQ(got[t].size(), kRepeats);
+    for (std::size_t r = 0; r < kRepeats; ++r) {
+      EXPECT_EQ(got[t][r], want_warm[(t + r) % warm.size()])
+          << "reader " << t << " repeat " << r;
+    }
+  }
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(published[i], want_fresh[i]) << "fresh design " << i;
+  }
+  EXPECT_GT(service.artifacts().counters().evictions, 0u);
+  EXPECT_LE(service.artifacts().num_entries(), 10u);
+}
+
+TEST(StageCache, ConcurrentRepeatsCountOnlyTheirOwnLookups) {
+  const auto nl = four_context_workload();
+  const auto spec = small_spec();
+  CompileService service;
+  service.compile(nl, spec);
+  std::vector<Compiled> repeats(2);
+  {
+    std::jthread a([&] { repeats[0] = service.compile(nl, spec); });
+    std::jthread b([&] { repeats[1] = service.compile(nl, spec); });
+  }
+  for (const Compiled& c : repeats) {
+    EXPECT_EQ(c.design.cache.hits, 8u);
+    EXPECT_EQ(c.design.cache.misses, 0u);
+  }
 }
 
 // --- cache bounds -----------------------------------------------------------

@@ -114,6 +114,27 @@ TEST(BitVector, PushBackGrowsAcrossWords) {
   EXPECT_TRUE(v.get(99));
 }
 
+TEST(BitVector, InlineAndHeapStorageAgreeAcrossTheWordBoundary) {
+  // Up to 64 bits live inline; pushing the 65th moves them to the heap.
+  // Values, words, equality and hashes must not notice either form.
+  BitVector grown;
+  for (std::size_t i = 0; i < 65; ++i) {
+    grown.push_back(i % 5 == 0);
+    BitVector built(i + 1);
+    for (std::size_t j = 0; j <= i; ++j) {
+      built.set(j, j % 5 == 0);
+    }
+    ASSERT_EQ(grown, built) << "size " << i + 1;
+    EXPECT_EQ(grown.hash(), built.hash());
+    EXPECT_EQ(grown.words().size(), (i + 64) / 64);
+  }
+  EXPECT_EQ(grown.popcount(), 13u);
+  const BitVector copy = grown;
+  EXPECT_EQ(copy, grown);
+  EXPECT_EQ(BitVector(64, true).words()[0], ~std::uint64_t{0});
+  EXPECT_EQ(BitVector(0, true).popcount(), 0u);
+}
+
 TEST(BitVector, HashDistinguishesValues) {
   BitVector a = BitVector::from_string("1100");
   BitVector b = BitVector::from_string("1010");

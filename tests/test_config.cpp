@@ -187,6 +187,56 @@ TEST(Bitstream, Append) {
   EXPECT_EQ(a.row(1).name, "b");
 }
 
+TEST(Bitstream, CopiesShareRowsUntilWritten) {
+  Bitstream original(4);
+  original.add_row("a", ResourceKind::kLutBit,
+                   ContextPattern::from_string("0110"));
+  Bitstream copy = original;
+  EXPECT_TRUE(copy.shares_rows_with(original));
+
+  // Writing to the copy clones its rows; the original is untouched.
+  copy.add_row("b", ResourceKind::kRoutingSwitch,
+               ContextPattern::from_string("1000"));
+  EXPECT_FALSE(copy.shares_rows_with(original));
+  ASSERT_EQ(original.num_rows(), 1u);
+  EXPECT_EQ(original.row(0).name, "a");
+  ASSERT_EQ(copy.num_rows(), 2u);
+  EXPECT_EQ(copy.row(0).pattern, original.row(0).pattern);
+  EXPECT_EQ(copy.row(1).name, "b");
+
+  // And the other way round: the original's writes miss the copy.
+  const Bitstream snapshot = original;
+  original.add_row("c", ResourceKind::kControlBit, ContextPattern(4, true));
+  EXPECT_EQ(snapshot.num_rows(), 1u);
+  EXPECT_EQ(original.num_rows(), 2u);
+}
+
+TEST(Bitstream, AppendOnSharedRowsLeavesTheSharerUnchanged) {
+  Bitstream a(4);
+  a.add_row("a", ResourceKind::kLutBit, ContextPattern(4, true));
+  const Bitstream shared = a;
+  a.append(shared);  // appending to itself, through a sharer
+  EXPECT_EQ(a.num_rows(), 2u);
+  EXPECT_EQ(shared.num_rows(), 1u);
+
+  // Appending onto an empty bitstream shares the appended rows.
+  Bitstream empty(4);
+  empty.append(shared);
+  EXPECT_TRUE(empty.shares_rows_with(shared));
+  empty.add_row("z", ResourceKind::kLutBit, ContextPattern(4, false));
+  EXPECT_EQ(shared.num_rows(), 1u);
+  EXPECT_EQ(empty.num_rows(), 2u);
+}
+
+TEST(Bitstream, MovedFromIsEmpty) {
+  Bitstream a(4);
+  a.add_row("a", ResourceKind::kLutBit, ContextPattern(4, true));
+  Bitstream b = std::move(a);
+  EXPECT_EQ(b.num_rows(), 1u);
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(a.shares_rows_with(Bitstream(4)));
+}
+
 // Table 1 fixture: G3/G9 self-redundant, G2 == G4 regular, G1 complex.
 TEST(Stats, PaperTable1Example) {
   const Bitstream bs = paper_table1_example();

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/incremental.hpp"
@@ -412,6 +413,64 @@ TEST(CompileDaemon, ConcurrentSessionsAreBitIdentical) {
     EXPECT_EQ(out.reply.bitstream_text, want);
   }
   EXPECT_EQ(daemon.stats().done, 6u);
+}
+
+TEST(CompileDaemon, ConcurrentRepeatsReportOnlyTheirOwnCacheLookups) {
+  const auto netlist = small_workload();
+  const auto spec = small_spec();
+  DaemonOptions daemon_options;
+  daemon_options.workers = 2;
+  CompileDaemon daemon(daemon_options);
+  ServeClient client(daemon);
+  const std::uint64_t warm =
+      client.submit(ServeClient::make_request("warm", netlist, spec, {}));
+  ASSERT_EQ(client.wait(warm).reply.status, CompileReply::Status::kDone);
+
+  // Two repeats in flight together: each reply counts its own eight
+  // stage hits, never the other job's.
+  const std::uint64_t a =
+      client.submit(ServeClient::make_request("a", netlist, spec, {}));
+  const std::uint64_t b =
+      client.submit(ServeClient::make_request("b", netlist, spec, {}));
+  for (const std::uint64_t id : {a, b}) {
+    const ServeClient::Outcome out = client.wait(id);
+    ASSERT_EQ(out.reply.status, CompileReply::Status::kDone);
+    EXPECT_EQ(out.reply.cache_hits, 8u);
+    EXPECT_EQ(out.reply.cache_misses, 0u);
+  }
+}
+
+TEST(CompileDaemon, RetainedBytesStayBoundedAcrossManyJobs) {
+  const auto netlist = small_workload();
+  const auto spec = small_spec();
+  DaemonOptions daemon_options;
+  daemon_options.workers = 1;
+  daemon_options.max_completed = 2;
+  CompileDaemon daemon(daemon_options);
+  ServeClient client(daemon);
+
+  std::vector<std::uint64_t> jobs;
+  for (std::size_t i = 0; i < 3 * daemon_options.max_completed; ++i) {
+    const std::uint64_t id = client.submit(ServeClient::make_request(
+        "job-" + std::to_string(i), netlist, spec, {}));
+    jobs.push_back(id);
+    // Until the stream is handed out, the daemon holds it.
+    while (daemon.state(id) != SessionState::kDone) {
+      std::this_thread::yield();
+    }
+    EXPECT_GT(daemon.stats().retained_bytes, 0u);
+    ASSERT_EQ(client.wait(id).reply.status, CompileReply::Status::kDone);
+    // Then only the job's final state is left: no request text, no frames.
+    const CompileDaemon::Stats stats = daemon.stats();
+    EXPECT_EQ(stats.retained_bytes, 0u) << "after job " << i;
+    EXPECT_LE(stats.retained_designs, daemon_options.max_completed);
+  }
+  for (const std::uint64_t id : jobs) {
+    EXPECT_EQ(daemon.state(id), SessionState::kDone);
+  }
+  EXPECT_THROW(daemon.wait(jobs.front()), InvalidArgument);
+  EXPECT_FALSE(daemon.cancel(jobs.front()));
+  EXPECT_EQ(daemon.stats().done, jobs.size());
 }
 
 TEST(CompileDaemon, DeltaRecompileFromBaseJob) {
