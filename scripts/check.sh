@@ -3,15 +3,17 @@
 # build tests/benches/examples, run the test suite, re-run it under
 # ASan+UBSan (a second cmake preset, including a routing bench smoke so
 # the interleaved scheduler's hot path runs sanitized), run the routing
-# and daemon smokes under ThreadSanitizer (a third preset — the
-# speculative drain and the compile service are the threaded paths),
+# and daemon smokes under ThreadSanitizer (a third preset — per-context
+# parallel routing and the compile service are the threaded paths),
 # smoke the perf benches at tiny sizes so the hot paths are exercised,
-# not just compiled, and diff the smoke BENCH_JSON counters against the
+# not just compiled, diff the smoke BENCH_JSON counters against the
 # pinned baselines (scripts/bench_guard.py) so queue-traffic regressions
-# fail CI even when every QoR gate still passes.  The TSan lane also runs
-# the stage-cache and daemon test suites, whose concurrent-hit stress
-# tests restore from the shared cache while other threads publish into it
-# and evict from it.
+# fail CI even when every QoR gate still passes, and build and run the
+# repo benchmark (perfbench/) for one second per workload so a library
+# change that breaks what perfbench reads fails here, not only in the
+# benchmark run.  The TSan lane also runs the stage-cache and daemon test
+# suites, whose concurrent-hit stress tests restore from the shared cache
+# while other threads publish into it and evict from it.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-check)
 set -euo pipefail
@@ -32,9 +34,9 @@ echo "--- sanitizer bench smoke (engines + both negotiation schedulers) ---"
 "$SAN_DIR"/bench_routing_delay --smoke > /dev/null
 
 echo "--- sanitizer (TSan) bench smoke + cache/daemon tests ---"
-# The routing smoke runs the speculative multi-worker drain (the
-# interleave-scaling section routes with 2 and 4 workers even on a
-# 1-core machine), the daemon smoke runs the compile service's worker
+# The routing smoke runs per-context parallel routing (its compiled
+# designs and the serial-vs-parallel section route with one worker per
+# hardware thread), the daemon smoke runs the compile service's worker
 # threads, and test_cache / test_serve run concurrent cache hits against
 # publishes and evictions (the lock-free restore path) — the places real
 # concurrency lives.
@@ -68,3 +70,12 @@ python3 scripts/bench_guard.py --baseline BENCH_INCREMENTAL.json \
   --log "$BUILD_DIR"/bench_incremental_smoke.log
 python3 scripts/bench_guard.py --baseline BENCH_SERVE.json \
   --log "$BUILD_DIR"/bench_serve_smoke.log
+
+echo "--- repo benchmark (perfbench) build + 1 s per workload ---"
+# run.py builds perfbench (Release, under .bench_build/) on first use and
+# exits non-zero on a build failure, a wrong op, or metrics that differ
+# from BENCHMARK.json.
+for workload in cold_flow edit_loop serve_mix; do
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+    > /dev/null
+done

@@ -1,12 +1,13 @@
 // Shared worker-pool machinery.
 //
 // parallel_for_index: index-queue fan-out for embarrassingly parallel,
-// deterministic work: per-context routing (route/router.cpp) and
-// multi-seed placement restarts (place/placer.cpp) both drain [0, count)
-// through an atomic counter and merge results by index, so the output
-// never depends on worker timing.  Centralized here because the subtle
-// parts — the thread-creation fallback and the caller-thread
-// participation — must not diverge between call sites.
+// deterministic work: per-context routing (route/router.cpp and the
+// parallel rounds of route/schedule.cpp) and multi-seed placement
+// restarts (place/placer.cpp) all drain [0, count) through an atomic
+// counter and merge results by index, so the output never depends on
+// worker timing.  Centralized here because the subtle parts — the
+// thread-creation fallback and the caller-thread participation — must
+// not diverge between call sites.
 //
 // WorkerPool: the long-running counterpart for services (serve/daemon):
 // a fixed set of threads draining a task queue that outlives any single
@@ -17,7 +18,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -166,117 +166,6 @@ class WorkerPool {
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> threads_;
-  bool stopping_ = false;
-};
-
-/// Persistent fork-join helper for repeated small fan-outs — the
-/// speculative interleaved drain runs one of these per commit window, far
-/// too often to pay thread spawn each time.  `participants` counts the
-/// caller plus up to participants-1 parked helper threads; each run(count,
-/// fn) wakes them, every participant p calls fn(p, k) for its static
-/// stride of k in [0, count) (k = p, p + P, p + 2P, ...), and run()
-/// returns only after every index has completed — a batch barrier.
-///
-/// The participant -> index map is deterministic, but callers must not
-/// rely on it for results: fn(p, k) must compute a pure function of k
-/// (p only selects worker-local scratch).  fn must not throw.  Shares the
-/// pool degradation policy: if a helper thread cannot be created, the
-/// stride shrinks and the caller still covers every index.
-class BatchRunner {
- public:
-  explicit BatchRunner(std::size_t participants) {
-    const std::size_t helpers = participants > 1 ? participants - 1 : 0;
-    threads_.reserve(helpers);
-    for (std::size_t w = 0; w < helpers; ++w) {
-      try {
-        threads_.emplace_back([this, w] { helper_loop(w + 1); });
-      } catch (const std::system_error&) {
-        break;  // degrade: fewer helpers; the caller covers the rest
-      }
-    }
-  }
-
-  BatchRunner(const BatchRunner&) = delete;
-  BatchRunner& operator=(const BatchRunner&) = delete;
-
-  ~BatchRunner() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stopping_ = true;
-    }
-    cv_.notify_all();
-    for (auto& t : threads_) {
-      t.join();
-    }
-  }
-
-  /// Caller + helper threads actually running (>= 1).
-  std::size_t num_participants() const { return threads_.size() + 1; }
-
-  void run(std::size_t count,
-           const std::function<void(std::size_t, std::size_t)>& fn) {
-    const std::size_t stride = threads_.size() + 1;
-    if (threads_.empty() || count <= 1) {
-      for (std::size_t k = 0; k < count; ++k) {
-        fn(0, k);
-      }
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      count_ = count;
-      stride_ = stride;
-      fn_ = &fn;
-      pending_ = threads_.size();
-      ++generation_;
-    }
-    cv_.notify_all();
-    for (std::size_t k = 0; k < count; k += stride) {
-      fn(0, k);
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return pending_ == 0; });
-  }
-
- private:
-  void helper_loop(std::size_t slot) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      std::size_t count;
-      std::size_t stride;
-      const std::function<void(std::size_t, std::size_t)>* fn;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] { return stopping_ || generation_ != seen; });
-        if (generation_ == seen) {
-          return;  // stopping_ with no unprocessed batch
-        }
-        seen = generation_;
-        count = count_;
-        stride = stride_;
-        fn = fn_;
-      }
-      for (std::size_t k = slot; k < count; k += stride) {
-        (*fn)(slot, k);
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (--pending_ == 0) {
-          done_cv_.notify_all();
-        }
-      }
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_;       ///< Wakes helpers (new batch / stop).
-  std::condition_variable done_cv_;  ///< Wakes the caller (batch done).
-  std::vector<std::thread> threads_;
-  const std::function<void(std::size_t, std::size_t)>* fn_ = nullptr;
-  std::size_t count_ = 0;
-  std::size_t stride_ = 1;
-  std::size_t pending_ = 0;
-  std::uint64_t generation_ = 0;
   bool stopping_ = false;
 };
 

@@ -55,7 +55,8 @@ struct CompileOptions {
   place::PlacerOptions placer{};
   route::RouterOptions router{};
   /// SE/LUT delays used by every timing consumer (criticality weighting,
-  /// timing-driven routing, the Timing stage's reports).
+  /// timing-driven routing, the Timing stage's reports).  Both must be
+  /// finite and >= 0; 0 is legal.
   sim::DelayParams delay{};
   /// Grow the fabric (square-ish) until clusters and I/O fit.
   bool auto_size = true;
@@ -118,13 +119,6 @@ struct ContextStats {
   /// changed their pressure (dirty-set churn).
   std::size_t interleave_reroutes = 0;
   std::size_t interleave_requeues = 0;
-  /// Speculative parallel drain of the interleaved worklist (both 0 when
-  /// `interleave_workers` resolves to one, or outside kInterleaved):
-  /// speculations committed as-is because their read-set still matched the
-  /// live state, and speculations discarded because a batch predecessor
-  /// invalidated them (the net was then re-routed live).
-  std::size_t spec_hits = 0;
-  std::size_t spec_aborts = 0;
 };
 
 /// Stage-cache and delta-recompile accounting of the compile that produced

@@ -484,8 +484,6 @@ void TimingStage::run(FlowContext& ctx) const {
     stats.nodes_expanded = summary.nodes_expanded;
     stats.interleave_reroutes = summary.interleave_reroutes;
     stats.interleave_requeues = summary.interleave_requeues;
-    stats.spec_hits = summary.spec_hits;
-    stats.spec_aborts = summary.spec_aborts;
   }
 }
 
@@ -605,6 +603,15 @@ FlowContext make_flow_context(const netlist::MultiContextNetlist& netlist,
                  "closure loop needs at least one iteration");
   MCFPGA_REQUIRE(options.closure_slack_tolerance >= 0.0,
                  "closure_slack_tolerance must be non-negative");
+  // Negative delays would price routing below zero: the timing-driven
+  // expansion would relax negative-cost cycles without end, and STA would
+  // report a critical path shortened by every switch crossed.
+  MCFPGA_REQUIRE(std::isfinite(options.delay.se_delay) &&
+                     options.delay.se_delay >= 0.0,
+                 "se_delay must be finite and non-negative");
+  MCFPGA_REQUIRE(std::isfinite(options.delay.lut_delay) &&
+                     options.delay.lut_delay >= 0.0,
+                 "lut_delay must be finite and non-negative");
   return ctx;
 }
 

@@ -307,7 +307,8 @@ sim::LbConfig build_lb_config(const FlowContext& ctx, std::size_t k);
 std::size_t append_lb_rows(config::Bitstream& bitstream,
                            const sim::LbConfig& lb, std::size_t num_contexts);
 
-/// Seeds a context from the flow inputs (validates both).
+/// Seeds a context from the flow inputs (validates both, plus the
+/// closure and delay options; InvalidArgument on a bad value).
 FlowContext make_flow_context(const netlist::MultiContextNetlist& netlist,
                               const arch::FabricSpec& spec,
                               const CompileOptions& options);

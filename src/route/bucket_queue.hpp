@@ -12,6 +12,8 @@
 // relaxation out of the current bucket lands in a strictly later bucket,
 // so all items in the current bucket already carry their final distance
 // and may be popped in any fixed order — the classic Dial argument.  The
+// router sizes the quantum per pass to exactly that increment
+// (route::bucket_quantum_for in route/router_core.hpp).  The
 // fixed order here is FIFO (push order), which makes the pop sequence a
 // pure function of the push sequence: bucket-mode routing is deterministic
 // for any worker count.  A quantum larger than the smallest increment
@@ -85,7 +87,6 @@ class CalendarQueue {
   }
 
   bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
 
   void push(double cost, V value) {
     std::uint64_t q = quantize(cost);
@@ -114,20 +115,6 @@ class CalendarQueue {
       }
       rebase();  // calendar drained; only overflow items remain
     }
-  }
-
-  /// Deterministic batched multi-pop: fills `out` (cleared first) with up
-  /// to `max_n` items in exactly the order that many consecutive pop()
-  /// calls would return them, and returns the count.  The speculative
-  /// interleaved drain claims its commit window through this, so the
-  /// batch contents are a pure function of the push sequence — same FIFO
-  /// argument as pop(), independent of how many workers then speculate.
-  std::size_t pop_batch(std::size_t max_n, std::vector<Item>& out) {
-    out.clear();
-    while (out.size() < max_n && size_ > 0) {
-      out.push_back(pop());
-    }
-    return out.size();
   }
 
  private:

@@ -67,21 +67,6 @@ void RouterOptions::validate() const {
       "criticality exponent ceiling must be at least the start value");
   MCFPGA_REQUIRE(max_criticality >= 0.0 && max_criticality < 1.0,
                  "max_criticality must lie in [0, 1)");
-  MCFPGA_REQUIRE(cross_context_rounds >= 1,
-                 "cross-context negotiation needs at least one round");
-  MCFPGA_REQUIRE(cross_context_pressure_weight >= 0.0,
-                 "cross_context_pressure_weight must be non-negative");
-  MCFPGA_REQUIRE(pressure_ramp >= 0.0, "pressure_ramp must be non-negative");
-  MCFPGA_REQUIRE(interleave_waves >= 1,
-                 "interleaved scheduling needs at least one wave");
-  MCFPGA_REQUIRE(interleave_crit_quantum > 0.0 &&
-                     interleave_crit_quantum <= 1.0,
-                 "interleave_crit_quantum must lie in (0, 1]");
-  MCFPGA_REQUIRE(speculation_window >= 1,
-                 "speculative drain needs a window of at least one net");
-  MCFPGA_REQUIRE(bucket_quantum > 0.0, "bucket_quantum must be positive");
-  MCFPGA_REQUIRE(bucket_span >= 2,
-                 "bucket calendar needs at least two buckets");
 }
 
 std::vector<std::size_t> cross_context_conflicts(

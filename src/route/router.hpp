@@ -16,12 +16,14 @@
 // Contexts are NOT independent in the cost model, though: every physical
 // switch carries one on/off bit per context, and the RCM decoder prices a
 // switch by how its pattern varies across contexts.  With
-// RouterOptions::cross_context_mode == kNegotiated, Router::route hands
-// the contexts to route::ContextScheduler (route/schedule.hpp), which
-// orders routing passes by per-context criticality, exchanges per-node
-// pressure between contexts, and re-routes in outer negotiation rounds
-// until cross-context wire conflicts stop improving.  kOff (the default)
-// keeps the historical fully independent routing, bit for bit.
+// RouterOptions::cross_context_mode != kOff, Router::route hands the
+// contexts to route::ContextScheduler (route/schedule.hpp), which orders
+// routing by per-context criticality, exchanges per-node pressure between
+// contexts, and re-routes either whole contexts in negotiation rounds
+// (kNegotiated) or single nets drained one at a time from one merged
+// criticality queue (kInterleaved) until cross-context wire conflicts
+// stop improving.  kOff (the default) keeps the historical fully
+// independent routing, bit for bit.
 //
 // Delay accounting follows the paper's SE model: every switch crossed
 // costs one SE delay, so a straight run of L cells costs L switches on
@@ -75,9 +77,9 @@ enum class QueueMode : std::uint8_t {
   kBinaryHeap,
   /// Monotone calendar queue over quantized costs (route/bucket_queue.hpp):
   /// O(1) push/pop, FIFO within a bucket, deterministic for any worker
-  /// count.  Exact Dijkstra while bucket_quantum stays at or below the
-  /// smallest relaxation increment (0.5 with default base costs); routes
-  /// may differ from the heap's only through equal-cost tie-breaks.
+  /// count.  The bucket width is derived from the smallest relaxation
+  /// increment, so the expansion is exact Dijkstra; routes may differ from
+  /// the heap's only through equal-cost tie-breaks.
   kBucket,
 };
 
@@ -137,62 +139,16 @@ struct RouterOptions {
   /// the most critical connection so negotiation still converges.
   double max_criticality = 0.99;
   /// Cross-context coupling: kOff = independent contexts (bit-identical
-  /// to the historical router), kNegotiated = criticality-ordered
-  /// scheduling with shared congestion pressure (route/schedule.hpp).
+  /// to the historical router); kNegotiated and kInterleaved schedule
+  /// contexts by criticality with shared congestion pressure
+  /// (route/schedule.hpp, whose round, wave and pressure settings are
+  /// constants).
   CrossContextMode cross_context_mode = CrossContextMode::kOff;
-  /// Negotiation rounds after the independent baseline (round 0): round 1
-  /// is the sequential criticality-ordered claim pass, later rounds
-  /// re-route every context against the pressure of all peers.  The loop
-  /// stops early once cross-context conflicts stop improving.
-  std::size_t cross_context_rounds = 3;
-  /// Scale of foreign-context wire usage folded into a context's present
-  /// congestion cost, further weighted by the EXPORTING context's
-  /// criticality — critical contexts push hard, uncritical ones barely.
-  double cross_context_pressure_weight = 0.5;
-  /// Per-round ramp on the pressure weight: negotiation round r applies
-  /// weight * (1 + pressure_ramp * (r - 1)), so early rounds nudge and
-  /// late rounds shove.  0 (the default) is bit-identical to the flat
-  /// weight; must be non-negative.
-  double pressure_ramp = 0.0;
-  /// kInterleaved only: cap on re-route waves after the baseline.  Each
-  /// wave drains the merged (context, net) queue filled by the previous
-  /// wave's dirty-set propagation; the worklist usually dries up well
-  /// before the cap.  Must be >= 1.
-  std::size_t interleave_waves = 8;
-  /// kInterleaved only: bucket width of the merged queue's priority key
-  /// (1 - context_crit * net_crit, so critical nets pop first).  Nets
-  /// whose keys land in the same bucket pop FIFO, which keeps the wave
-  /// order a pure function of push order.  Must be in (0, 1].
-  double interleave_crit_quantum = 0.015625;
-  /// kInterleaved only: workers for the speculative drain of the merged
-  /// queue (route/schedule.hpp).  0 = inherit num_threads; 1 = the
-  /// sequential drain.  Any value produces bit-identical routed state:
-  /// speculation only changes who computes a candidate route, never which
-  /// route the ordered commit applies.
-  std::size_t interleave_workers = 0;
-  /// kInterleaved only: nets claimed per speculation batch (the commit
-  /// window) when the drain runs more than one worker.  Batch contents
-  /// come from CalendarQueue::pop_batch, so they are a pure function of
-  /// queue order; the window trades exposed parallelism against the odds
-  /// that an earlier commit invalidates a later speculation in the same
-  /// batch.  Must be >= 1.  Small windows win: on congested workloads
-  /// the measured abort rate grows from ~12% at a window of 2 to ~70%
-  /// at 16, and every abort re-routes serially — 4 keeps four workers
-  /// busy while aborts stay near 30%.
-  std::size_t speculation_window = 4;
-  /// Maze-expansion priority queue engine (see QueueMode).
+  /// Maze-expansion priority queue engine (see QueueMode).  kBucket derives
+  /// its bucket width per pass from the smallest relaxation increment
+  /// (route::bucket_quantum_for), so it stays exact Dijkstra for any
+  /// non-negative SE delay.
   QueueMode queue_mode = QueueMode::kBinaryHeap;
-  /// Bucket width of the calendar queue (kBucket only).  Costs quantize to
-  /// floor(cost / quantum); exactness holds while this stays at or below
-  /// the smallest relaxation increment, which is 0.5 with the default base
-  /// costs (pin cost 0.5) and default delays (se_delay 1.0 keeps the
-  /// timing-blended increment >= 0.5 for every criticality).  Lower it
-  /// when custom base costs or sub-0.5 SE delays shrink the increment.
-  double bucket_quantum = 0.5;
-  /// Calendar span in buckets before pushes spill to the overflow list
-  /// (kBucket only).  1024 buckets x 0.5 quantum covers a 512-cost
-  /// horizon per rebase — far beyond one relaxation wave.
-  std::size_t bucket_span = 1024;
 
   /// Member-wise equality: lets engine pools detect that cached per-worker
   /// state was built for the same job shape and reuse it.
@@ -246,13 +202,6 @@ struct ContextRouteSummary {
   /// kInterleaved only: (net) entries of this context pushed back onto the
   /// merged queue because a peer's commit changed their pressure.
   std::size_t interleave_requeues = 0;
-  /// kInterleaved with interleave_workers > 1 only: speculative routes of
-  /// this context validated at commit (the read-set still matched the live
-  /// state, so the precomputed result was adopted verbatim) vs. discarded
-  /// and re-routed live because an earlier commit in the batch changed
-  /// state the speculation had read.  Both 0 on the sequential drain.
-  std::size_t spec_hits = 0;
-  std::size_t spec_aborts = 0;
 };
 
 /// One outer negotiation round of the cross-context scheduler (round 0 is
@@ -283,16 +232,9 @@ struct NegotiationRoundStats {
   /// Summing these over every entry gives the negotiation's TOTAL cost —
   /// the number the interleaved-vs-round-based comparison gates on; the
   /// kept-round counters in ContextRouteSummary deliberately do not.
-  /// Speculation traffic that was discarded at commit (aborts) is NOT
-  /// included, so these stay byte-identical for every worker count.
   std::size_t heap_pushes = 0;
   std::size_t nodes_expanded = 0;
-  /// kInterleaved speculative drain: batch entries whose speculative
-  /// result survived read-set validation at commit vs. entries relived
-  /// serially.  hits + aborts = every pop of the wave when the drain ran
-  /// more than one worker; both 0 on the sequential drain.  Independent
-  /// of the worker count (the batch window, not the workers, fixes the
-  /// speculation horizon), so the smoke bench pins them.
+  /// Always 0: the speculative drain is gone, perfbench still reads these.
   std::size_t spec_hits = 0;
   std::size_t spec_aborts = 0;
 };

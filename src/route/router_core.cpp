@@ -20,6 +20,15 @@ using arch::SwitchOwner;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Base cost of a pin or pad — the cheapest node, so every relaxation adds
+/// at least this much congestion cost (the bucket quantum's floor).
+constexpr double kMinNodeCost = 0.5;
+
+/// Calendar span of the kBucket engine before pushes spill to the overflow
+/// list.  1024 buckets x 0.5 quantum covers a 512-cost horizon per rebase,
+/// far beyond one relaxation wave.
+constexpr std::size_t kBucketSpan = 1024;
+
 /// Epoch headroom: a pass can never consume this many expansions, so
 /// rewinding the stamps whenever a pass STARTS above the threshold keeps
 /// pooled cores (which live across thousands of passes) from ever wrapping
@@ -85,7 +94,7 @@ RouterCore::RouterCore(const arch::RoutingGraph& graph,
     // they are cheaper; pricing them at 3.5 when disabled-by-preference
     // keeps them routable but unattractive (the E5 ablation).
     if (node.kind != NodeKind::kWire) {
-      base_cost_[i] = 0.5;  // pins/pads: cheap, they are endpoints
+      base_cost_[i] = kMinNodeCost;  // pins/pads: cheap, they are endpoints
     } else if (node.length == 2) {
       base_cost_[i] = options_.prefer_double_length ? 1.0 : 3.5;
     } else {
@@ -227,6 +236,64 @@ bool RouterCore::expand_to_sink(Queue& queue,
   return false;
 }
 
+bool RouterCore::expand(const std::vector<arch::NodeId>& tree,
+                        arch::NodeId sink, double cong_scale,
+                        double delay_term, ContextResult& result) {
+  if (options_.queue_mode == QueueMode::kBucket) {
+    return expand_to_sink(bucket_, tree, sink, cong_scale, delay_term,
+                          result);
+  }
+  BinaryQueue binary{*this};
+  return expand_to_sink(binary, tree, sink, cong_scale, delay_term, result);
+}
+
+RoutedPath RouterCore::trace_path(arch::NodeId sink,
+                                  std::vector<arch::NodeId>& tree) {
+  RoutedPath path;
+  path.sink = sink;
+  NodeId cur = sink;
+  while (nodes_[static_cast<std::size_t>(cur)].prev != -1) {
+    const EdgeId e = nodes_[static_cast<std::size_t>(cur)].prev;
+    path.edges.push_back(e);
+    if (graph_.rr_switch(graph_.edge(e).sw).owner == SwitchOwner::kDiamond) {
+      ++path.diamond_count;
+    }
+    cur = graph_.edge(e).from;
+  }
+  std::reverse(path.edges.begin(), path.edges.end());
+  // Source-to-sink order guarantees every edge's from-node already carries
+  // its depth (tree node or earlier path node), so new nodes accumulate
+  // upstream switch counts in one pass.
+  for (const EdgeId e : path.edges) {
+    const NodeId v = graph_.edge(e).to;
+    const std::size_t vi = static_cast<std::size_t>(v);
+    if (nodes_[vi].tree_epoch != tree_epoch_) {
+      nodes_[vi].tree_epoch = tree_epoch_;
+      nodes_[vi].depth =
+          nodes_[static_cast<std::size_t>(graph_.edge(e).from)].depth + 1;
+      tree.push_back(v);
+    }
+  }
+  return path;
+}
+
+void RouterCore::begin_pass(const timing::ContextTimingSpec* timing) {
+  // A pooled core lives across thousands of passes; rewind the 32-bit
+  // epoch stamps long before they could wrap mid-pass.
+  if (epoch_ >= kEpochRewind || tree_epoch_ >= kEpochRewind) {
+    for (std::size_t i = 0; i < scratch_nodes_; ++i) {
+      nodes_[i].dist_epoch = 0;
+      nodes_[i].tree_epoch = 0;
+    }
+    epoch_ = 0;
+    tree_epoch_ = 0;
+  }
+  if (options_.queue_mode == QueueMode::kBucket) {
+    bucket_.configure(bucket_quantum_for(options_, timing), kBucketSpan);
+    bucket_.clear();
+  }
+}
+
 RouterCore::TimingEngine& RouterCore::timing_engine(
     const timing::ContextTimingSpec& spec) {
   const std::uint64_t sig = spec_signature(spec);
@@ -278,24 +345,7 @@ RouterCore::ContextResult RouterCore::route_pass(
     std::fill_n(history_, num_nodes, 0.0);
   }
   present_factor_ = 0.5;
-
-  // A pooled core lives across thousands of passes; rewind the 32-bit
-  // epoch stamps long before they could wrap mid-pass.
-  if (epoch_ >= kEpochRewind || tree_epoch_ >= kEpochRewind) {
-    for (std::size_t i = 0; i < num_nodes; ++i) {
-      nodes_[i].dist_epoch = 0;
-      nodes_[i].tree_epoch = 0;
-    }
-    epoch_ = 0;
-    tree_epoch_ = 0;
-  }
-
-  const bool bucket_mode = options_.queue_mode == QueueMode::kBucket;
-  if (bucket_mode) {
-    bucket_.configure(options_.bucket_quantum, options_.bucket_span);
-    bucket_.clear();
-  }
-  BinaryQueue binary{*this};
+  begin_pass(timing);
 
   // Per-context incremental STA (timing-driven mode only).  The DAG's
   // topology is fixed for the whole negotiation; only switch counts — arc
@@ -395,45 +445,12 @@ RouterCore::ContextResult RouterCore::route_pass(
           cong_scale = 1.0 - c;
           delay_term = c * timing->se_delay;
         }
-        const bool found =
-            bucket_mode ? expand_to_sink(bucket_, tree, sink, cong_scale,
-                                         delay_term, result)
-                        : expand_to_sink(binary, tree, sink, cong_scale,
-                                         delay_term, result);
-        if (!found) {
+        if (!expand(tree, sink, cong_scale, delay_term, result)) {
           throw FlowError("router: no physical path from " +
                           graph_.node(net.source).name + " to " +
                           graph_.node(sink).name);
         }
-        // Back-trace; add new nodes to the tree.
-        RoutedPath path;
-        path.sink = sink;
-        NodeId cur = sink;
-        while (nodes_[static_cast<std::size_t>(cur)].prev != -1) {
-          const EdgeId e = nodes_[static_cast<std::size_t>(cur)].prev;
-          path.edges.push_back(e);
-          if (graph_.rr_switch(graph_.edge(e).sw).owner ==
-              SwitchOwner::kDiamond) {
-            ++path.diamond_count;
-          }
-          cur = graph_.edge(e).from;
-        }
-        std::reverse(path.edges.begin(), path.edges.end());
-        // Source-to-sink order guarantees every edge's from-node already
-        // carries its depth (tree node or earlier path node), so new
-        // nodes accumulate upstream switch counts in one pass.
-        for (const EdgeId e : path.edges) {
-          const NodeId v = graph_.edge(e).to;
-          const std::size_t vi = static_cast<std::size_t>(v);
-          if (nodes_[vi].tree_epoch != tree_epoch_) {
-            nodes_[vi].tree_epoch = tree_epoch_;
-            nodes_[vi].depth =
-                nodes_[static_cast<std::size_t>(graph_.edge(e).from)].depth +
-                1;
-            tree.push_back(v);
-          }
-        }
-        result.nets[i].paths.push_back(std::move(path));
+        result.nets[i].paths.push_back(trace_path(sink, tree));
       }
 
       for (const NodeId n : tree) {
@@ -535,19 +552,7 @@ void RouterCore::session_begin(const std::vector<RouteNet>& nets,
     std::fill_n(history_, num_nodes, 0.0);
   }
   present_factor_ = 0.5;
-
-  if (epoch_ >= kEpochRewind || tree_epoch_ >= kEpochRewind) {
-    for (std::size_t i = 0; i < num_nodes; ++i) {
-      nodes_[i].dist_epoch = 0;
-      nodes_[i].tree_epoch = 0;
-    }
-    epoch_ = 0;
-    tree_epoch_ = 0;
-  }
-  if (options_.queue_mode == QueueMode::kBucket) {
-    bucket_.configure(options_.bucket_quantum, options_.bucket_span);
-    bucket_.clear();
-  }
+  begin_pass(timing);
 
   // Rebuild each net's tree-node set (source + every path edge target,
   // deduplicated with a tree-epoch mark) and the occupancy/owner maps the
@@ -650,8 +655,6 @@ bool RouterCore::session_route_net(std::size_t i,
   MCFPGA_CHECK(session_active_, "session_route_net without session_begin");
   gained_wires.clear();
   const RouteNet& net = (*session_input_)[i];
-  const bool bucket_mode = options_.queue_mode == QueueMode::kBucket;
-  BinaryQueue binary{*this};
 
   RoutedNet fresh;
   fresh.name = net.name;
@@ -671,40 +674,13 @@ bool RouterCore::session_route_net(std::size_t i,
       cong_scale = 1.0 - c;
       delay_term = c * session_timing_->se_delay;
     }
-    const bool found =
-        bucket_mode ? expand_to_sink(bucket_, tree, sink, cong_scale,
-                                     delay_term, session_result_)
-                    : expand_to_sink(binary, tree, sink, cong_scale,
-                                     delay_term, session_result_);
-    if (!found) {
+    if (!expand(tree, sink, cong_scale, delay_term, session_result_)) {
       // Blocked under exclusion (the peer nets hold every remaining
       // corridor).  Nothing was committed; the caller restores the old
       // tree and keeps the baseline routing for this net.
       return false;
     }
-    RoutedPath path;
-    path.sink = sink;
-    NodeId cur = sink;
-    while (nodes_[static_cast<std::size_t>(cur)].prev != -1) {
-      const EdgeId e = nodes_[static_cast<std::size_t>(cur)].prev;
-      path.edges.push_back(e);
-      if (graph_.rr_switch(graph_.edge(e).sw).owner == SwitchOwner::kDiamond) {
-        ++path.diamond_count;
-      }
-      cur = graph_.edge(e).from;
-    }
-    std::reverse(path.edges.begin(), path.edges.end());
-    for (const EdgeId e : path.edges) {
-      const NodeId v = graph_.edge(e).to;
-      const std::size_t vi = static_cast<std::size_t>(v);
-      if (nodes_[vi].tree_epoch != tree_epoch_) {
-        nodes_[vi].tree_epoch = tree_epoch_;
-        nodes_[vi].depth =
-            nodes_[static_cast<std::size_t>(graph_.edge(e).from)].depth + 1;
-        tree.push_back(v);
-      }
-    }
-    fresh.paths.push_back(std::move(path));
+    fresh.paths.push_back(trace_path(sink, tree));
   }
 
   for (const NodeId n : tree) {
@@ -760,257 +736,6 @@ RouterCore::ContextResult RouterCore::session_finish() {
   return out;
 }
 
-template <typename Queue>
-bool RouterCore::spec_expand_to_sink(Queue& queue, const RouterCore& src,
-                                     const std::vector<arch::NodeId>& tree,
-                                     arch::NodeId sink, double cong_scale,
-                                     double delay_term, SpecResult& out) {
-  const std::vector<std::size_t>& offsets = graph_.csr_offsets();
-  const std::vector<EdgeId>& csr_edges = graph_.csr_edges();
-  const std::vector<NodeId>& csr_targets = graph_.csr_targets();
-
-  ++epoch_;
-  queue.clear();
-  for (const NodeId t : tree) {
-    const std::size_t ti = static_cast<std::size_t>(t);
-    NodeState& s = nodes_[ti];
-    const double seed = delay_term * static_cast<double>(s.depth);
-    s.dist = seed;
-    s.prev = -1;
-    s.dist_epoch = epoch_;
-    queue.push(seed, t);
-    ++out.heap_pushes;
-  }
-  while (!queue.empty()) {
-    const auto item = queue.pop();
-    ++out.heap_pops;
-    const std::size_t u = static_cast<std::size_t>(item.value);
-    if (item.cost > dist_of(u)) {
-      ++out.stale_pops;
-      continue;
-    }
-    if (item.value == sink) {
-      return true;
-    }
-    if (is_wire_[u] == 0 && item.cost != 0.0) {
-      continue;
-    }
-    ++out.nodes_expanded;
-    const std::size_t end = offsets[u + 1];
-    for (std::size_t at = offsets[u]; at < end; ++at) {
-      const NodeId v = csr_targets[at];
-      const std::size_t vi = static_cast<std::size_t>(v);
-      if (at + 1 < end) {
-        const std::size_t ni = static_cast<std::size_t>(csr_targets[at + 1]);
-        MCFPGA_PREFETCH(&src.node_cost_[ni]);
-        MCFPGA_PREFETCH(&nodes_[ni]);
-      }
-      if (is_wire_[vi] == 0 && v != sink) {
-        continue;
-      }
-      // Exclusion against the SESSION's occupancy, seen through the
-      // virtual rip and recorded for commit-time validation.  Sessions
-      // always route exclusively, so this mirrors expand_to_sink's
-      // session_exclusive_ branch unconditionally.
-      const int occ =
-          spec_mark_[vi] == spec_epoch_ ? spec_occ_[vi] : src.occupancy_[vi];
-      if (read_mark_[vi] != spec_epoch_) {
-        read_mark_[vi] = spec_epoch_;
-        read_slot_[vi] = static_cast<std::uint32_t>(out.reads.size());
-        out.reads.push_back(SpecRead{v, occ, 0, 0.0});
-      }
-      if (occ != 0) {
-        continue;
-      }
-      NodeState& sv = nodes_[vi];
-      if (sv.tree_epoch == tree_epoch_) {
-        continue;
-      }
-      const double vc =
-          spec_mark_[vi] == spec_epoch_ ? spec_cost_[vi] : src.node_cost_[vi];
-      {
-        SpecRead& r = out.reads[read_slot_[vi]];
-        r.cost_read = 1;
-        r.cost = vc;
-      }
-      const double nd = item.cost + cong_scale * vc + delay_term;
-      if (nd < (sv.dist_epoch == epoch_ ? sv.dist : kInf)) {
-        sv.dist = nd;
-        sv.prev = csr_edges[at];
-        sv.dist_epoch = epoch_;
-        queue.push(nd, v);
-        ++out.heap_pushes;
-        MCFPGA_PREFETCH(&csr_targets[offsets[vi]]);
-      }
-    }
-  }
-  return false;
-}
-
-void RouterCore::speculate_route(const RouterCore& session, std::size_t i,
-                                 const std::vector<SpecOverlay>& overlay,
-                                 SpecResult& out) {
-  const std::size_t num_nodes = graph_.num_nodes();
-  MCFPGA_CHECK(&graph_ == &session.graph_,
-               "speculation engine and session must share one graph");
-  MCFPGA_CHECK(session.session_active_,
-               "speculate_route needs an armed session");
-  MCFPGA_CHECK(!session_active_,
-               "a speculation engine cannot itself hold a session");
-  MCFPGA_CHECK(scratch_nodes_ == num_nodes,
-               "speculation scratch must be graph-node-sized");
-
-  out.found = false;
-  out.net = RoutedNet{};
-  out.tree.clear();
-  out.reads.clear();
-  out.heap_pushes = 0;
-  out.heap_pops = 0;
-  out.stale_pops = 0;
-  out.nodes_expanded = 0;
-
-  if (spec_mark_.size() != num_nodes) {
-    spec_mark_.assign(num_nodes, 0);
-    read_mark_.assign(num_nodes, 0);
-    spec_occ_.assign(num_nodes, 0);
-    spec_cost_.assign(num_nodes, 0.0);
-    read_slot_.assign(num_nodes, 0);
-    spec_epoch_ = 0;
-  }
-  if (spec_epoch_ >= kEpochRewind) {
-    std::fill(spec_mark_.begin(), spec_mark_.end(), 0u);
-    std::fill(read_mark_.begin(), read_mark_.end(), 0u);
-    spec_epoch_ = 0;
-  }
-  ++spec_epoch_;
-
-  // Virtual rip: the net's own tree nodes look exactly as a real
-  // session_rip_net + pressure patch-down would leave them — occupancy
-  // down one, cost re-derived with refresh_node_cost's expression and
-  // operation order against the post-rip pressure the scheduler computed.
-  for (const SpecOverlay& o : overlay) {
-    const std::size_t ni = static_cast<std::size_t>(o.node);
-    const int occ = session.occupancy_[ni] - 1;
-    double congestion = 1.0 + session.history_[ni] +
-                        session.present_factor_ * static_cast<double>(occ);
-    if (session.pressure_of_ != nullptr) {
-      congestion += session.pressure_scale_ * o.pressure;
-    }
-    spec_mark_[ni] = spec_epoch_;
-    spec_occ_[ni] = occ;
-    spec_cost_[ni] = session.base_cost_[ni] * congestion;
-  }
-
-  if (epoch_ >= kEpochRewind || tree_epoch_ >= kEpochRewind) {
-    for (std::size_t n = 0; n < num_nodes; ++n) {
-      nodes_[n].dist_epoch = 0;
-      nodes_[n].tree_epoch = 0;
-    }
-    epoch_ = 0;
-    tree_epoch_ = 0;
-  }
-  const bool bucket_mode = options_.queue_mode == QueueMode::kBucket;
-  if (bucket_mode) {
-    bucket_.configure(options_.bucket_quantum, options_.bucket_span);
-    bucket_.clear();
-  }
-  BinaryQueue binary{*this};
-
-  const RouteNet& net = (*session.session_input_)[i];
-  out.net.name = net.name;
-  out.net.source = net.source;
-  std::vector<NodeId>& tree = out.tree;
-  tree.push_back(net.source);
-  ++tree_epoch_;
-  nodes_[static_cast<std::size_t>(net.source)].tree_epoch = tree_epoch_;
-  nodes_[static_cast<std::size_t>(net.source)].depth = 0;
-
-  for (std::size_t j = 0; j < net.sinks.size(); ++j) {
-    const NodeId sink = net.sinks[j];
-    double cong_scale = 1.0;
-    double delay_term = 0.0;
-    if (session.session_arcs_ != nullptr) {
-      const double c = session.crit_[session.session_arcs_->connection(i, j)];
-      cong_scale = 1.0 - c;
-      delay_term = c * session.session_timing_->se_delay;
-    }
-    const bool found =
-        bucket_mode ? spec_expand_to_sink(bucket_, session, tree, sink,
-                                          cong_scale, delay_term, out)
-                    : spec_expand_to_sink(binary, session, tree, sink,
-                                          cong_scale, delay_term, out);
-    if (!found) {
-      return;  // out.found stays false; the read-set stays complete
-    }
-    RoutedPath path;
-    path.sink = sink;
-    NodeId cur = sink;
-    while (nodes_[static_cast<std::size_t>(cur)].prev != -1) {
-      const EdgeId e = nodes_[static_cast<std::size_t>(cur)].prev;
-      path.edges.push_back(e);
-      if (graph_.rr_switch(graph_.edge(e).sw).owner == SwitchOwner::kDiamond) {
-        ++path.diamond_count;
-      }
-      cur = graph_.edge(e).from;
-    }
-    std::reverse(path.edges.begin(), path.edges.end());
-    for (const EdgeId e : path.edges) {
-      const NodeId v = graph_.edge(e).to;
-      const std::size_t vi = static_cast<std::size_t>(v);
-      if (nodes_[vi].tree_epoch != tree_epoch_) {
-        nodes_[vi].tree_epoch = tree_epoch_;
-        nodes_[vi].depth =
-            nodes_[static_cast<std::size_t>(graph_.edge(e).from)].depth + 1;
-        tree.push_back(v);
-      }
-    }
-    out.net.paths.push_back(std::move(path));
-  }
-  out.found = true;
-}
-
-bool RouterCore::session_validate_reads(
-    const std::vector<SpecRead>& reads) const {
-  MCFPGA_CHECK(session_active_, "session_validate_reads without a session");
-  for (const SpecRead& r : reads) {
-    const std::size_t ni = static_cast<std::size_t>(r.node);
-    if (occupancy_[ni] != r.occupancy) {
-      return false;
-    }
-    if (r.cost_read != 0 && node_cost_[ni] != r.cost) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void RouterCore::session_fold_spec_counters(const SpecResult& spec) {
-  MCFPGA_CHECK(session_active_, "session_fold_spec_counters without a session");
-  session_result_.heap_pushes += spec.heap_pushes;
-  session_result_.heap_pops += spec.heap_pops;
-  session_result_.stale_pops += spec.stale_pops;
-  session_result_.nodes_expanded += spec.nodes_expanded;
-}
-
-void RouterCore::session_adopt_route(std::size_t i, SpecResult&& spec,
-                                     std::vector<arch::NodeId>& gained_wires) {
-  MCFPGA_CHECK(session_active_ && spec.found,
-               "session_adopt_route needs an armed session and a found route");
-  session_fold_spec_counters(spec);
-  gained_wires.clear();
-  for (const NodeId n : spec.tree) {
-    const std::size_t ni = static_cast<std::size_t>(n);
-    ++occupancy_[ni];
-    refresh_node_cost(ni);
-    if (is_wire_[ni] != 0) {
-      session_owner_[ni] = static_cast<std::int32_t>(i);
-      gained_wires.push_back(n);
-    }
-  }
-  session_nets_[i] = std::move(spec.net);
-  session_tree_[i] = std::move(spec.tree);
-}
-
 void CorePool::prepare(std::size_t count, const arch::RoutingGraph& graph,
                        const RouterOptions& options) {
   if (slots_.size() < count) {
@@ -1048,6 +773,16 @@ void CorePool::release(std::size_t slot) {
                "release of an unprepared pool slot");
   MCFPGA_CHECK(slots_[slot].in_use->exchange(false, std::memory_order_acq_rel),
                "release of an engine slot that was not checked out");
+}
+
+double bucket_quantum_for(const RouterOptions& options,
+                          const timing::ContextTimingSpec* timing) {
+  if (!options.timing_mode || timing == nullptr) {
+    return kMinNodeCost;
+  }
+  const double c = options.max_criticality;
+  return std::min(kMinNodeCost,
+                  (1.0 - c) * kMinNodeCost + c * timing->se_delay);
 }
 
 RouteResult merge_context_results(

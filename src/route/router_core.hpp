@@ -28,12 +28,12 @@
 //                 default; bit-identical to the historical router.
 //   kBucket     — monotone calendar queue over quantized costs
 //                 (route/bucket_queue.hpp): O(1) push/pop, FIFO within a
-//                 bucket, deterministic for any worker count.  Costs are
-//                 exact Dijkstra distances while bucket_quantum stays at
-//                 or below the smallest relaxation increment; only
-//                 tie-breaking among near-equal costs differs from the
-//                 heap, so routes may differ but each expansion still
-//                 commits a minimum-cost path.
+//                 bucket, deterministic for any worker count.  Each pass
+//                 sizes its buckets to the smallest relaxation increment
+//                 it can produce (bucket_quantum_for), so costs are exact
+//                 Dijkstra distances; only tie-breaking among near-equal
+//                 costs differs from the heap, so routes may differ but
+//                 each expansion still commits a minimum-cost path.
 // Both engines count their traffic (heap pushes/pops, stale pops, nodes
 // expanded) into ContextResult for the bench scoreboard.
 //
@@ -219,83 +219,6 @@ class RouterCore {
   /// accumulated (nets/iterations/converged are the scheduler's to fill).
   ContextResult session_finish();
 
-  // ---- Speculative drain API (interleave_workers > 1) ----
-  //
-  // A WORKER core (a pool slot holding no session) re-routes one net of a
-  // SESSION core entirely read-only: it reads the session's live
-  // occupancy/cost arrays through a per-worker virtual-rip overlay that
-  // prices the net's own old tree exactly as a real rip + pressure
-  // patch-down would, records every (node, occupancy, cost) the expansion
-  // read, and returns the candidate route without touching the session.
-  // At commit time the scheduler performs the REAL rip + patch-down in
-  // queue order and validates the recorded read-set against the live
-  // arrays: the expansion's result is a pure function of those reads (plus
-  // frozen criticalities/history/graph), so an intact read-set proves a
-  // live re-route would reproduce the speculative result bit for bit, and
-  // session_adopt_route commits it — counters included — as if the session
-  // had computed it.  A mismatch means an earlier commit in the batch
-  // interfered; the speculation is discarded and the net relived serially.
-
-  /// One node of the virtual rip: `pressure` is the shared-pressure total
-  /// the node will carry AFTER the rip's patch-down (the scheduler computes
-  /// it with the exact summation patch() uses).
-  struct SpecOverlay {
-    arch::NodeId node;
-    double pressure;
-  };
-  /// One recorded read: `cost_read` is 0 when the expansion only tested
-  /// occupancy (exclusion) and never priced the node.
-  struct SpecRead {
-    arch::NodeId node;
-    int occupancy;
-    std::uint8_t cost_read;
-    double cost;
-  };
-  struct SpecResult {
-    bool found = false;  ///< False: a sink unreachable under exclusion.
-    RoutedNet net;
-    std::vector<arch::NodeId> tree;  ///< New tree, source + pins + wires.
-    std::vector<SpecRead> reads;     ///< Dedup'd expansion read-set.
-    std::size_t heap_pushes = 0;
-    std::size_t heap_pops = 0;
-    std::size_t stale_pops = 0;
-    std::size_t nodes_expanded = 0;
-  };
-
-  /// Speculatively re-routes net `i` of `session` (an armed session core
-  /// over the same graph) on THIS core's scratch, reading the session's
-  /// arrays through the `overlay` virtual rip.  Never writes the session.
-  /// `out` is reset first; on found=false the read-set is still complete,
-  /// so a validated failure proves the live route would fail too.
-  void speculate_route(const RouterCore& session, std::size_t i,
-                       const std::vector<SpecOverlay>& overlay,
-                       SpecResult& out);
-
-  /// True iff every recorded read still matches this session's live
-  /// occupancy/cost arrays (exact comparison — the determinism proof
-  /// needs bit-identity, not tolerance).
-  bool session_validate_reads(const std::vector<SpecRead>& reads) const;
-
-  /// Commits a validated speculative route for net `i` exactly as the tail
-  /// of session_route_net would: occupancy/owner/node costs at the new
-  /// tree, `gained_wires` filled with its WIRE nodes, and the speculation's
-  /// expansion counters folded into the session totals (they equal what a
-  /// live re-route would have spent, so per-wave counter aggregation stays
-  /// byte-stable across worker counts).
-  void session_adopt_route(std::size_t i, SpecResult&& spec,
-                           std::vector<arch::NodeId>& gained_wires);
-
-  /// Folds a validated FAILED speculation's counters into the session
-  /// totals (the live expansion would have spent them before giving up);
-  /// the caller then restores the ripped net as usual.
-  void session_fold_spec_counters(const SpecResult& spec);
-
-  /// Current tree of net `i` (source + pins + wires) — the scheduler
-  /// builds the virtual-rip overlay from it.
-  const std::vector<arch::NodeId>& session_tree(std::size_t i) const {
-    return session_tree_[i];
-  }
-
  private:
   struct HeapItem {
     double cost;
@@ -358,15 +281,19 @@ class RouterCore {
                       arch::NodeId sink, double cong_scale, double delay_term,
                       ContextResult& result);
 
-  /// expand_to_sink's speculative twin: identical relaxation arithmetic
-  /// and pop order, but occupancy/cost come from `src` through the
-  /// virtual-rip overlay, every read is recorded into `out`, and counters
-  /// land in `out` instead of a ContextResult.
-  template <typename Queue>
-  bool spec_expand_to_sink(Queue& queue, const RouterCore& src,
-                           const std::vector<arch::NodeId>& tree,
-                           arch::NodeId sink, double cong_scale,
-                           double delay_term, SpecResult& out);
+  /// expand_to_sink on the engine options_.queue_mode selects.
+  bool expand(const std::vector<arch::NodeId>& tree, arch::NodeId sink,
+              double cong_scale, double delay_term, ContextResult& result);
+
+  /// Back-traces the expansion that just reached `sink` into a path and
+  /// appends the path's new nodes, with their upstream switch depth, to
+  /// `tree`.
+  RoutedPath trace_path(arch::NodeId sink, std::vector<arch::NodeId>& tree);
+
+  /// Pass-entry scratch reset shared by route_pass and session_begin:
+  /// rewinds the epoch stamps long before they could wrap, and sizes the
+  /// bucket queue for `timing` (bucket_quantum_for).
+  void begin_pass(const timing::ContextTimingSpec* timing);
 
   /// Returns the cached (or freshly built) timing engine for `spec`,
   /// reset to unit-switch delays and re-analyzed — identical state to a
@@ -432,18 +359,6 @@ class RouterCore {
   std::size_t session_saved_index_ = 0;
   std::vector<RoutedPath> session_saved_paths_;
   std::vector<arch::NodeId> session_saved_tree_;
-
-  // Speculation scratch (worker cores of the parallel drain).  Epoch-
-  // stamped like the Dijkstra scratch: spec_mark_ validates the overlay
-  // arrays, read_mark_/read_slot_ dedup the recorded read-set.  Lazily
-  // sized on the first speculate_route call, so session-only and
-  // independent-mode cores never pay for it.
-  std::vector<std::uint32_t> spec_mark_;
-  std::vector<int> spec_occ_;
-  std::vector<double> spec_cost_;
-  std::vector<std::uint32_t> read_mark_;
-  std::vector<std::uint32_t> read_slot_;
-  std::uint32_t spec_epoch_ = 0;
 };
 
 /// Pool of per-worker engine state: one RouterCore per slot, each on its
@@ -457,9 +372,12 @@ class RouterCore {
 /// prepare() before fanning out, then give each worker its own slot.
 /// checkout()/release() harden that hand-out: a checkout marks the slot
 /// owned (atomically, so concurrent claimants cannot both win) and a
-/// second checkout before release is an MCFPGA_CHECK failure — two workers
-/// sharing an engine is the one race the speculative drain must never
-/// have.  core() stays available for single-owner call sites.
+/// second checkout before release is an MCFPGA_CHECK failure.  The
+/// interleaved scheduler checks out one slot per context for as long as
+/// that context's session is armed, so a second session on the same slot,
+/// or a prepare() that would rebuild the core under it, fails loudly
+/// instead of silently clobbering the session's occupancy maps.  core()
+/// stays available for single-owner call sites.
 class CorePool {
  public:
   void prepare(std::size_t count, const arch::RoutingGraph& graph,
@@ -483,6 +401,19 @@ class CorePool {
   };
   std::vector<Slot> slots_;
 };
+
+/// Bucket width the kBucket engine uses for one pass: the smallest
+/// relaxation increment the pass can produce, so every relaxation out of
+/// the current bucket lands in a later one and the expansion is exact
+/// Dijkstra.  Node costs are at least 0.5 (the pin base cost).  An untimed
+/// pass adds exactly the node cost, so the quantum is 0.5; a timing-driven
+/// pass (options.timing_mode with a spec) adds
+/// (1 - crit) * node_cost + crit * se_delay for crit in
+/// [0, max_criticality], which is linear in crit, so its minimum is
+/// min(0.5, (1 - max_criticality) * 0.5 + max_criticality * se_delay).
+/// At the default delays that is exactly 0.5.
+double bucket_quantum_for(const RouterOptions& options,
+                          const timing::ContextTimingSpec* timing);
 
 /// Deterministic merge of per-context results into one RouteResult:
 /// switch patterns, summaries (including cross_context_conflicts and the

@@ -4,8 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <functional>
-#include <memory>
 #include <numeric>
 #include <utility>
 
@@ -17,6 +15,25 @@
 namespace mcfpga::route {
 
 namespace {
+
+/// Negotiation rounds after the independent baseline (round 0): round 1 is
+/// the sequential claim pass, later rounds are Jacobi re-routes.  The loop
+/// usually stops earlier, once conflicts stop improving.
+constexpr std::size_t kCrossContextRounds = 3;
+
+/// Scale of foreign-context wire usage folded into a context's present
+/// congestion cost, further weighted by the EXPORTING context's
+/// criticality — critical contexts push hard, uncritical ones barely.
+constexpr double kCrossContextPressureWeight = 0.5;
+
+/// kInterleaved: cap on re-route waves after the baseline.  The dirty set
+/// usually dries up well before it.
+constexpr std::size_t kInterleaveWaves = 8;
+
+/// kInterleaved: bucket width of the merged queue's priority key
+/// 1 - ctx_crit * net_crit.  Nets whose keys share a bucket pop FIFO, which
+/// keeps the wave order a pure function of push order.
+constexpr double kInterleaveCritQuantum = 1.0 / 64.0;
 
 /// Everything a "keep best round" restore needs: the per-context results
 /// and the PathFinder history as it stood right after that round.
@@ -41,14 +58,6 @@ struct Score {
   }
 };
 
-/// One batch slot of the speculative drain: the worker's virtual-rip
-/// overlay input and its speculation result, allocation-reused across
-/// batches and waves.
-struct SpecTask {
-  std::vector<RouterCore::SpecOverlay> overlay;
-  RouterCore::SpecResult result;
-};
-
 }  // namespace
 
 ContextScheduler::ContextScheduler(const arch::RoutingGraph& graph,
@@ -71,36 +80,13 @@ RouteResult ContextScheduler::route(
       effective_threads(options_.num_threads, num_contexts);
   const bool interleaved =
       options_.cross_context_mode == CrossContextMode::kInterleaved;
-  // Workers for the speculative drain of the merged queue: 0 inherits
-  // num_threads, and more engines than the batch window could claim nets
-  // cannot help.  1 = the sequential drain (the reference semantics the
-  // parallel drain reproduces bit for bit).
-  const std::size_t drain_workers =
-      interleaved ? effective_threads(options_.interleave_workers != 0
-                                          ? options_.interleave_workers
-                                          : options_.num_threads,
-                                      options_.speculation_window)
-                  : 1;
   CorePool local_pool;
   CorePool& cores = pool != nullptr ? *pool : local_pool;
   // Interleaved mode keeps one live session per CONTEXT (each owns a
   // context's occupancy/owner maps for the whole wave loop), so the pool
-  // must cover the contexts, not just the workers — plus one speculation
-  // engine per drain worker on the slots past the sessions.
-  cores.prepare(
-      std::max(std::max<std::size_t>(workers, 1),
-               interleaved
-                   ? num_contexts + (drain_workers > 1 ? drain_workers : 0)
-                   : 0),
-      graph_, options_);
-
-  // Effective pressure weight of one negotiation round: the flat weight,
-  // ramped up round by round when pressure_ramp is set (ramp 0 multiplies
-  // by exactly 1.0 — bit-identical to the historical flat weight).
-  const auto pressure_weight_at = [&](std::size_t round) {
-    return options_.cross_context_pressure_weight *
-           (1.0 + options_.pressure_ramp * static_cast<double>(round - 1));
-  };
+  // must cover the contexts, not just the workers.
+  cores.prepare(std::max(workers, interleaved ? num_contexts : 0), graph_,
+                options_);
 
   // Per-context criticalities in [0, 1]; null = all equally critical, so
   // the claim order degenerates to context order and every context
@@ -189,12 +175,11 @@ RouteResult ContextScheduler::route(
   // them detours around the claims.
   const auto run_claim_round = [&]() {
     RouterCore& core = cores.core(0);
-    const double weight = pressure_weight_at(1);
     std::vector<double> accum(num_nodes, 0.0);
     std::vector<double> pressure(num_nodes, 0.0);
     for (const std::size_t c : order) {
       for (std::size_t n = 0; n < num_nodes; ++n) {
-        pressure[n] = weight * accum[n];
+        pressure[n] = kCrossContextPressureWeight * accum[n];
       }
       current[c] =
           core.route_pass(nets_per_context[c],
@@ -209,11 +194,9 @@ RouteResult ContextScheduler::route(
   };
 
   // Jacobi pressure for rounds >= 2: context c sees every peer's usage,
-  // weighted by the EXPORTING context's criticality and the round's ramped
-  // weight.  Folded in context order, so the map is identical for any
-  // worker count.
-  const auto build_jacobi_pressure = [&](std::size_t round) {
-    const double weight = pressure_weight_at(round);
+  // weighted by the EXPORTING context's criticality.  Folded in context
+  // order, so the map is identical for any worker count.
+  const auto build_jacobi_pressure = [&]() {
     std::vector<double> total(num_nodes, 0.0);
     for (std::size_t c = 0; c < num_contexts; ++c) {
       for (std::size_t n = 0; n < num_nodes; ++n) {
@@ -227,7 +210,7 @@ RouteResult ContextScheduler::route(
       pressure[c].resize(num_nodes);
       for (std::size_t n = 0; n < num_nodes; ++n) {
         const double own = usage[c][n] != 0 ? crit[c] : 0.0;
-        pressure[c][n] = weight * (total[n] - own);
+        pressure[c][n] = kCrossContextPressureWeight * (total[n] - own);
       }
     }
     return pressure;
@@ -293,26 +276,23 @@ RouteResult ContextScheduler::route(
   Snapshot best{current, hist};
   std::size_t best_round = 0;
 
-  // Per-context interleaved churn + speculation counters (stay zero in
-  // round-based modes; folded into the merged summaries at the tail).
+  // Per-context interleaved churn counters (stay zero in round-based
+  // modes; folded into the merged summaries at the tail).
   std::vector<std::size_t> interleave_reroutes(num_contexts, 0);
   std::vector<std::size_t> interleave_requeues(num_contexts, 0);
-  std::vector<std::size_t> spec_hits(num_contexts, 0);
-  std::vector<std::size_t> spec_aborts(num_contexts, 0);
 
   // Negotiation only makes sense over a converged baseline with something
   // to negotiate about; pressure never helps a context that could not
   // even resolve its own congestion (it only adds cost).
   if (all_converged() && stats[0].conflicts > 0 && !interleaved) {
     std::size_t prev_conflicts = stats[0].conflicts;
-    for (std::size_t round = 1; round <= options_.cross_context_rounds;
-         ++round) {
+    for (std::size_t round = 1; round <= kCrossContextRounds; ++round) {
       start = clock::now();
       if (round == 1) {
         run_claim_round();
       } else {
         const std::vector<std::vector<double>> pressure =
-            build_jacobi_pressure(round);
+            build_jacobi_pressure();
         run_parallel_round(&pressure);
       }
       const Score score = evaluate_and_record(round, start);
@@ -344,25 +324,11 @@ RouteResult ContextScheduler::route(
   // commit actually changed (dirty-set propagation).  The queue pops FIFO
   // within a priority bucket, so pop order is a pure function of push
   // order; cost tracks conflict churn, not rounds x contexts x nets.
-  //
-  // With drain_workers > 1 the drain runs SPECULATIVELY: a deterministic
-  // batch of pops is claimed up front (pop_batch), every entry is routed
-  // in parallel by a read-only worker engine against the committed
-  // snapshot (a virtual-rip overlay stands in for the entry's own rip,
-  // and every occupancy/cost value the expansion reads is recorded), and
-  // the serial commit then replays the batch in pop order — validating
-  // each recorded read-set against the live state and adopting the
-  // precomputed route when it holds, or discarding it and re-routing
-  // live when an earlier commit interfered.  Either way each commit is
-  // exactly what the sequential drain would have produced, so the routed
-  // state is bit-identical for ANY worker count.
   if (all_converged() && stats[0].conflicts > 0 && interleaved) {
     // All sessions share ONE unscaled pressure array
     //   total[n] = sum_c crit[c] * usage[c][n]
-    // (each core scales it by the flat pressure weight; the per-round
-    // pressure_ramp does not apply — there are no rounds).  `users[n]`
-    // counts the contexts holding wire n — the conflict predicate.
-    const double weight = options_.cross_context_pressure_weight;
+    // (each core scales it by the pressure weight).  `users[n]` counts the
+    // contexts holding wire n — the conflict predicate.
     std::vector<double> total(num_nodes, 0.0);
     std::vector<std::uint16_t> users(num_nodes, 0);
     for (std::size_t c = 0; c < num_contexts; ++c) {
@@ -377,7 +343,7 @@ RouteResult ContextScheduler::route(
       cores.checkout(c).session_begin(nets_per_context[c],
                                       timing ? &(*timing)[c] : nullptr,
                                       current[c].nets, &hist[c], total.data(),
-                                      weight);
+                                      kCrossContextPressureWeight);
     }
 
     // Re-derives total[] at the patched nodes from the usage columns
@@ -418,10 +384,10 @@ RouteResult ContextScheduler::route(
                        0.0, 1.0);
     };
     const std::size_t span =
-        static_cast<std::size_t>(1.0 / options_.interleave_crit_quantum) + 2;
+        static_cast<std::size_t>(1.0 / kInterleaveCritQuantum) + 2;
     CalendarQueue<std::uint64_t> queues[2];
-    queues[0].configure(options_.interleave_crit_quantum, span);
-    queues[1].configure(options_.interleave_crit_quantum, span);
+    queues[0].configure(kInterleaveCritQuantum, span);
+    queues[1].configure(kInterleaveCritQuantum, span);
 
     // wave_mark[c][i] == w: net (c, i) is already enqueued for wave w.
     std::vector<std::vector<std::size_t>> wave_mark(num_contexts);
@@ -455,58 +421,10 @@ RouteResult ContextScheduler::route(
       }
     }
 
-    // Speculative drain machinery (drain_workers > 1): per-worker engines
-    // checked out of the pool slots past the sessions, a persistent batch
-    // barrier, and allocation-reused batch slots.
-    std::vector<RouterCore*> engines;
-    std::unique_ptr<BatchRunner> runner;
-    std::vector<CalendarQueue<std::uint64_t>::Item> batch;
-    std::vector<SpecTask> tasks;
-    if (drain_workers > 1) {
-      engines.reserve(drain_workers);
-      for (std::size_t w = 0; w < drain_workers; ++w) {
-        engines.push_back(&cores.checkout(num_contexts + w));
-      }
-      runner = std::make_unique<BatchRunner>(drain_workers);
-      tasks.resize(options_.speculation_window);
-    }
-    // Speculates batch entry k on engine `slot`, reading the sessions
-    // only — a pure function of the committed snapshot and k, so the
-    // participant -> entry assignment cannot perturb anything.
-    const std::function<void(std::size_t, std::size_t)> speculate =
-        [&](std::size_t slot, std::size_t k) {
-          const std::uint64_t v = batch[k].value;
-          const std::size_t c = static_cast<std::size_t>(v >> 32);
-          const std::size_t i = static_cast<std::size_t>(v & 0xffffffffu);
-          const RouterCore& session = cores.core(c);
-          SpecTask& task = tasks[k];
-          // Virtual-rip overlay: for every node of the net's current
-          // tree, the pressure total it will carry after the real rip's
-          // patch-down — the exact context-order summation patch()
-          // performs.  Only wires carry usage; a pin's total is whatever
-          // it already was.
-          task.overlay.clear();
-          for (const arch::NodeId n : session.session_tree(i)) {
-            const std::size_t ni = static_cast<std::size_t>(n);
-            double p = total[ni];
-            if (usage[c][ni] != 0) {
-              p = 0.0;
-              for (std::size_t c2 = 0; c2 < num_contexts; ++c2) {
-                if (c2 != c && usage[c2][ni] != 0) {
-                  p += crit[c2];
-                }
-              }
-            }
-            task.overlay.push_back({n, p});
-          }
-          engines[slot]->speculate_route(session, i, task.overlay,
-                                         task.result);
-        };
-
     std::vector<arch::NodeId> freed;
     std::vector<arch::NodeId> gained;
     std::size_t active = 0;
-    for (std::size_t wave = 1; wave <= options_.interleave_waves; ++wave) {
+    for (std::size_t wave = 1; wave <= kInterleaveWaves; ++wave) {
       CalendarQueue<std::uint64_t>& work = queues[active];
       CalendarQueue<std::uint64_t>& next = queues[1 - active];
       if (work.empty()) {
@@ -515,105 +433,58 @@ RouteResult ContextScheduler::route(
       start = clock::now();
       std::size_t rerouted = 0;
       std::size_t requeued = 0;
-      std::size_t wave_spec_hits = 0;
-      std::size_t wave_spec_aborts = 0;
       std::size_t pushes_before = 0;
       std::size_t expanded_before = 0;
       for (std::size_t c = 0; c < num_contexts; ++c) {
         pushes_before += cores.core(c).session_heap_pushes();
         expanded_before += cores.core(c).session_nodes_expanded();
       }
-      // One pop's commit, shared by both drains.  `spec` is null on the
-      // sequential path; on the speculative path a validated read-set
-      // proves the precomputed result is exactly what the live re-route
-      // below would produce, so adopting it (or its validated failure)
-      // cannot diverge from the sequential drain.
-      const auto commit_pop = [&](std::size_t c, std::size_t i,
-                                  SpecTask* spec) {
+      while (!work.empty()) {
+        const auto item = work.pop();
+        const std::size_t c = static_cast<std::size_t>(item.value >> 32);
+        const std::size_t i =
+            static_cast<std::size_t>(item.value & 0xffffffffu);
         RouterCore& core = cores.core(c);
-        // Rip FIRST and patch the shared pressure down, so the re-route
-        // is not repelled by the net's own old wires.
+        // Rip FIRST and patch the shared pressure down, so the re-route is
+        // not repelled by the net's own old wires.
         core.session_rip_net(i, freed);
         patch(freed, c, false);
-        bool routed;
-        if (spec != nullptr &&
-            core.session_validate_reads(spec->result.reads)) {
-          ++wave_spec_hits;
-          ++spec_hits[c];
-          if (spec->result.found) {
-            core.session_adopt_route(i, std::move(spec->result), gained);
-            routed = true;
-          } else {
-            core.session_fold_spec_counters(spec->result);
-            routed = false;
-          }
-        } else {
-          if (spec != nullptr) {
-            ++wave_spec_aborts;
-            ++spec_aborts[c];
-          }
-          routed = core.session_route_net(i, gained);
-        }
-        if (routed) {
-          ++rerouted;
-          ++interleave_reroutes[c];
-          patch(gained, c, true);
-          // Dirty-set propagation: a commit changes a peer's incentive
-          // only where this net GAINED wire the peer holds — that
-          // owner (unique per context: sessions route exclusively) gets
-          // one next-wave entry.  Freed-only nodes need no requeue:
-          // losing pressure never invalidates a peer's current route.
-          for (const arch::NodeId n : gained) {
-            const std::size_t ni = static_cast<std::size_t>(n);
-            if (users[ni] < 2) {
-              continue;
-            }
-            for (std::size_t c2 = 0; c2 < num_contexts; ++c2) {
-              if (c2 == c || usage[c2][ni] == 0) {
-                continue;
-              }
-              const std::int32_t peer = cores.core(c2).session_owner(ni);
-              if (peer < 0) {
-                continue;
-              }
-              const std::size_t pi = static_cast<std::size_t>(peer);
-              if (wave_mark[c2][pi] == wave + 1) {
-                continue;
-              }
-              wave_mark[c2][pi] = wave + 1;
-              next.push(key_of(c2, pi), pack(c2, pi));
-              ++requeued;
-              ++interleave_requeues[c2];
-            }
-          }
-        } else {
-          // Blocked under exclusion: keep the baseline route for this
-          // net (never-worse), put its pressure back.
+        if (!core.session_route_net(i, gained)) {
+          // Blocked under exclusion: keep the baseline route for this net
+          // (never-worse), put its pressure back.
           core.session_restore_net(i);
           patch(freed, c, true);
+          continue;
         }
-      };
-      if (drain_workers <= 1) {
-        while (!work.empty()) {
-          const auto item = work.pop();
-          commit_pop(static_cast<std::size_t>(item.value >> 32),
-                     static_cast<std::size_t>(item.value & 0xffffffffu),
-                     nullptr);
-        }
-      } else {
-        // Claim a deterministic window, speculate it in parallel against
-        // the committed snapshot (pure reads of the sessions), commit
-        // serially in pop order.  Pops only ever leave `work` and pushes
-        // only ever enter `next`, so claiming the window up front cannot
-        // change which nets it contains.
-        while (!work.empty()) {
-          const std::size_t got =
-              work.pop_batch(options_.speculation_window, batch);
-          runner->run(got, speculate);
-          for (std::size_t k = 0; k < got; ++k) {
-            commit_pop(static_cast<std::size_t>(batch[k].value >> 32),
-                       static_cast<std::size_t>(batch[k].value & 0xffffffffu),
-                       &tasks[k]);
+        ++rerouted;
+        ++interleave_reroutes[c];
+        patch(gained, c, true);
+        // Dirty-set propagation: a commit changes a peer's incentive only
+        // where this net GAINED wire the peer holds — that owner (unique
+        // per context: sessions route exclusively) gets one next-wave
+        // entry.  Freed-only nodes need no requeue: losing pressure never
+        // invalidates a peer's current route.
+        for (const arch::NodeId n : gained) {
+          const std::size_t ni = static_cast<std::size_t>(n);
+          if (users[ni] < 2) {
+            continue;
+          }
+          for (std::size_t c2 = 0; c2 < num_contexts; ++c2) {
+            if (c2 == c || usage[c2][ni] == 0) {
+              continue;
+            }
+            const std::int32_t peer = cores.core(c2).session_owner(ni);
+            if (peer < 0) {
+              continue;
+            }
+            const std::size_t pi = static_cast<std::size_t>(peer);
+            if (wave_mark[c2][pi] == wave + 1) {
+              continue;
+            }
+            wave_mark[c2][pi] = wave + 1;
+            next.push(key_of(c2, pi), pack(c2, pi));
+            ++requeued;
+            ++interleave_requeues[c2];
           }
         }
       }
@@ -652,8 +523,6 @@ RouteResult ContextScheduler::route(
       s.seconds = std::chrono::duration<double>(clock::now() - start).count();
       s.nets_rerouted = rerouted;
       s.nets_requeued = requeued;
-      s.spec_hits = wave_spec_hits;
-      s.spec_aborts = wave_spec_aborts;
       for (std::size_t c = 0; c < num_contexts; ++c) {
         s.heap_pushes += cores.core(c).session_heap_pushes();
         s.nodes_expanded += cores.core(c).session_nodes_expanded();
@@ -690,12 +559,6 @@ RouteResult ContextScheduler::route(
       }
     }
 
-    // Return the worker engines before closing the sessions.
-    runner.reset();
-    for (std::size_t w = 0; w < engines.size(); ++w) {
-      cores.release(num_contexts + w);
-    }
-
     // Close the sessions and attribute their expansion traffic to the
     // kept results — the counters describe work done, whichever wave won.
     for (std::size_t c = 0; c < num_contexts; ++c) {
@@ -719,8 +582,6 @@ RouteResult ContextScheduler::route(
   for (std::size_t c = 0; c < num_contexts; ++c) {
     result.context_summary[c].interleave_reroutes = interleave_reroutes[c];
     result.context_summary[c].interleave_requeues = interleave_requeues[c];
-    result.context_summary[c].spec_hits = spec_hits[c];
-    result.context_summary[c].spec_aborts = spec_aborts[c];
   }
   return result;
 }

@@ -25,20 +25,16 @@
 //            (Jacobi-style), with its own PathFinder history carried
 //            across rounds.  Pressure folds each exporting context's
 //            per-node wire usage into the importer's present cost,
-//            weighted by the EXPORTER's criticality and
-//            RouterOptions::cross_context_pressure_weight — itself ramped
-//            round by round when RouterOptions::pressure_ramp is set
-//            (round r scales the weight by 1 + pressure_ramp * (r - 1)),
-//            so early rounds nudge while late rounds shove.
+//            weighted by the EXPORTER's criticality and a fixed pressure
+//            weight of 0.5.
 //
 // The loop stops when cross-context conflicts (wire nodes shared between
-// contexts) stop strictly improving, or after cross_context_rounds
-// negotiation rounds.  Every round is scored — worst per-context STA
-// critical path when timing specs are available, worst per-connection
-// switch count otherwise, with total conflicts as the tiebreak — and the
-// best round's routing (and history) is what the scheduler returns, so
-// negotiated routing is never worse than independent routing on the kept
-// metric.
+// contexts) stop strictly improving, or after 3 negotiation rounds.
+// Every round is scored — worst per-context STA critical path when timing
+// specs are available, worst per-connection switch count otherwise, with
+// total conflicts as the tiebreak — and the best round's routing (and
+// history) is what the scheduler returns, so negotiated routing is never
+// worse than independent routing on the kept metric.
 //
 // Determinism: rounds are barriers; within a round each context sees only
 // pressure frozen before the round started (round 1 is sequential by
@@ -51,11 +47,12 @@
 //
 //   arm      One RouterCore SESSION per context adopts its baseline
 //            routing; all sessions share one live pressure array
-//            total[n] = sum_c crit_c * usage_c[n] (scaled by the flat
-//            cross_context_pressure_weight; pressure_ramp does not apply).
+//            total[n] = sum_c crit_c * usage_c[n] (scaled by the same 0.5
+//            pressure weight).
 //   wave 1   Every net holding a contested wire (>= 2 contexts) enters a
 //            single calendar queue keyed by 1 - ctx_crit * net_crit —
-//            critical nets pop first, FIFO within a priority bucket.
+//            critical nets pop first, FIFO within a priority bucket of
+//            width 1/64.
 //   pop      Rip ONE net, patch the shared pressure down at its freed
 //            wires, re-route it exclusively (never through a wire a peer
 //            net of the SAME context holds) against live peer pressure,
@@ -64,29 +61,19 @@
 //   dirty    Only peers holding a wire the commit GAINED are re-enqueued
 //            — into the NEXT wave's queue (ping-pong, so the draining
 //            queue's monotone cursor is never fought).  Waves end when
-//            the dirty set dries up or interleave_waves is hit.
+//            the dirty set dries up or after 8 waves.
 //
 // Each wave is scored like a negotiation round and the best state is
 // kept, so kInterleaved inherits the never-worse-than-independent
-// guarantee; the commit order is the queue's pop order, a pure function
-// of pushes, so the result is deterministic for any worker count.  Cost
-// now tracks actual conflict churn (nets re-routed per wave) instead of
-// rounds x contexts x nets.
+// guarantee.  The queue drains one net at a time on the calling thread,
+// in pop order, a pure function of pushes; only the round-0 baseline runs
+// on num_threads workers, so the result is deterministic for any worker
+// count.  Cost tracks actual conflict churn (nets re-routed per wave)
+// instead of rounds x contexts x nets.
 //
-// With more than one drain worker (interleave_workers, defaulting to
-// num_threads) the merged queue drains SPECULATIVELY: a deterministic
-// batch of up to speculation_window pops is claimed, worker engines
-// route every claimed net in parallel against the committed snapshot —
-// pure reads of the sessions plus a per-worker virtual overlay that
-// pretends only the net's own tree was ripped — recording the exact
-// (occupancy, cost) values each expansion read.  Commits then replay the
-// batch serially in pop order: a speculation whose recorded reads still
-// match the live state is adopted as-is (its result is provably what a
-// live re-route would have produced); one invalidated by an earlier
-// commit in the batch is discarded and the net re-routed live on the
-// session.  Committed state is therefore a pure function of queue order
-// — bit-identical to the single-worker drain for any worker count or
-// window size — and the parallel speculation only buys wall-clock time.
+// The round, wave, pressure and priority-bucket settings above are named
+// constants in schedule.cpp rather than RouterOptions, because every
+// caller ran them at these values.
 #pragma once
 
 #include <cstddef>
@@ -106,7 +93,7 @@ class ContextScheduler {
 
   /// Routes all contexts under cross-context negotiation.  Arguments
   /// mirror Router::route (which dispatches here when
-  /// options.cross_context_mode == kNegotiated): `timing` additionally
+  /// options.cross_context_mode != kOff): `timing` additionally
   /// powers the per-round STA scoring, `history` must already be
   /// prepare()d against this graph, and `context_criticality` (null =
   /// all contexts equally critical) orders the claim pass and scales the

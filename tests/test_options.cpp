@@ -1,12 +1,17 @@
-// Entry validation of RouterOptions / PlacerOptions: bad knob values used
-// to fail silently (or loop forever); now they raise InvalidArgument at
-// the API boundary.
+// Entry validation of RouterOptions / PlacerOptions / CompileOptions
+// delays: bad knob values used to fail silently (or loop forever); now
+// they raise InvalidArgument at the API boundary.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "arch/routing_graph.hpp"
+#include "cache/incremental.hpp"
 #include "common/error.hpp"
+#include "core/flow.hpp"
 #include "place/placer.hpp"
 #include "route/router.hpp"
+#include "workload/circuits.hpp"
 
 namespace mcfpga {
 namespace {
@@ -59,66 +64,62 @@ TEST(RouterOptionsValidation, RejectsBadCriticalityExponentSchedules) {
   EXPECT_NO_THROW(o.validate());
 }
 
-TEST(RouterOptionsValidation, RejectsBadCrossContextKnobs) {
-  route::RouterOptions o;
-  o.cross_context_rounds = 0;  // negotiation needs at least one round
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.cross_context_pressure_weight = -0.5;
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.cross_context_mode = route::CrossContextMode::kNegotiated;
-  o.cross_context_rounds = 5;
-  o.cross_context_pressure_weight = 0.0;  // pressureless negotiation is legal
-  EXPECT_NO_THROW(o.validate());
-}
-
-TEST(RouterOptionsValidation, RejectsBadInterleaveKnobs) {
-  route::RouterOptions o;
-  o.interleave_waves = 0;  // the merged worklist needs at least one wave
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.interleave_crit_quantum = 0.0;  // priority buckets need positive width
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.interleave_crit_quantum = -0.25;
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.interleave_crit_quantum = 1.5;  // keys live in [0, 1]
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.cross_context_mode = route::CrossContextMode::kInterleaved;
-  o.interleave_waves = 3;
-  o.interleave_crit_quantum = 0.25;
-  EXPECT_NO_THROW(o.validate());
-}
-
-TEST(RouterOptionsValidation, RejectsBadEngineAndPressureKnobs) {
-  route::RouterOptions o;
-  o.pressure_ramp = -0.1;  // pressure may only grow round over round
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.bucket_quantum = 0.0;  // calendar buckets need positive width
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.bucket_quantum = -0.25;
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.bucket_span = 1;  // a one-bucket calendar cannot order anything
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.queue_mode = route::QueueMode::kBucket;
-  o.bucket_quantum = 0.125;
-  o.bucket_span = 64;
-  o.pressure_ramp = 0.5;
-  EXPECT_NO_THROW(o.validate());
-}
-
 TEST(RouterOptionsValidation, RouterConstructorValidates) {
   const arch::RoutingGraph graph(tiny_spec());
   route::RouterOptions o;
   o.max_iterations = 0;
   EXPECT_THROW(route::Router(graph, o), InvalidArgument);
+}
+
+TEST(CompileOptionsValidation, RejectsNegativeAndNonFiniteDelays) {
+  // A negative SE delay used to send the timing-driven expansion around
+  // negative-cost cycles until memory ran out (and, untimed, to report a
+  // critical path shortened by every switch).  Every compile entry point
+  // seeds its FlowContext through make_flow_context, which now refuses.
+  const auto nl = workload::pipeline_workload(4, 4);
+  arch::FabricSpec spec;
+  spec.width = 4;
+  spec.height = 4;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-0.5, nan, inf}) {
+    for (const bool timed : {false, true}) {
+      core::CompileOptions se;
+      se.router.timing_mode = timed;
+      se.delay.se_delay = bad;
+      EXPECT_THROW(core::compile(nl, spec, se), InvalidArgument)
+          << "se_delay " << bad << " timed " << timed;
+      core::CompileOptions lut = se;
+      lut.delay.se_delay = 1.0;
+      lut.delay.lut_delay = bad;
+      EXPECT_THROW(core::compile(nl, spec, lut), InvalidArgument)
+          << "lut_delay " << bad << " timed " << timed;
+    }
+  }
+  core::CompileOptions cached;
+  cached.delay.se_delay = -0.5;
+  cache::CompileService service;
+  EXPECT_THROW(service.compile(nl, spec, cached), InvalidArgument);
+}
+
+TEST(CompileOptionsValidation, ZeroSeDelayCompiles) {
+  // Free switches are a legal model; under kBucket the derived bucket
+  // quantum shrinks to the (1 - max_criticality) * 0.5 increment instead
+  // of losing exactness.
+  const auto nl = workload::pipeline_workload(4, 4);
+  arch::FabricSpec spec;
+  spec.width = 4;
+  spec.height = 4;
+  for (const route::QueueMode mode :
+       {route::QueueMode::kBinaryHeap, route::QueueMode::kBucket}) {
+    core::CompileOptions o;
+    o.placer.timing_mode = true;
+    o.router.timing_mode = true;
+    o.router.queue_mode = mode;
+    o.delay.se_delay = 0.0;
+    const core::CompiledDesign d = core::compile(nl, spec, o);
+    EXPECT_TRUE(d.routing.success);
+  }
 }
 
 TEST(PlacerOptionsValidation, DefaultsAreValid) {

@@ -4,7 +4,8 @@
 // overflow bucket and its FIFO-preserving rebase, the monotone clamp),
 // bucket-mode routing determinism fuzzed across worker counts, the
 // never-worse QoR contract against the binary heap with timing off and
-// on, and kBinaryHeap's identity with the pre-option default engine.
+// on, the derived bucket quantum's exactness bound, and kBinaryHeap's
+// identity with the pre-option default engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "route/bucket_queue.hpp"
 #include "route/router.hpp"
 #include "route/router_core.hpp"
+#include "timing/net_timing.hpp"
 #include "workload/circuits.hpp"
 
 namespace mcfpga::route {
@@ -313,6 +315,49 @@ TEST(BucketEngine, BinaryHeapModeMatchesDefault) {
                       router.route(nets, nullptr, nullptr, nullptr, &pool));
 }
 
+TEST(BucketEngine, DerivedQuantumNeverExceedsSmallestIncrement) {
+  // Dial's exactness argument needs quantum <= every relaxation increment.
+  // An increment is cong_scale * node_cost + delay_term: node_cost >= 0.5
+  // (the pin base cost) and, timing-driven, cong_scale = 1 - crit and
+  // delay_term = crit * se_delay for crit in [0, max_criticality].
+  // Untimed passes (timing off, or no spec) add the node cost alone.
+  for (const double se_delay : {0.0, 0.25, 1.0, 4.0}) {
+    timing::ContextTimingSpec spec;
+    spec.se_delay = se_delay;
+    for (const bool timed : {false, true}) {
+      RouterOptions opts;
+      opts.timing_mode = timed;
+      const double q = bucket_quantum_for(opts, &spec);
+      SCOPED_TRACE("se_delay " + std::to_string(se_delay) + " timed " +
+                   std::to_string(timed));
+      EXPECT_GT(q, 0.0);
+      if (!timed) {
+        EXPECT_EQ(q, 0.5);
+        continue;
+      }
+      for (int step = 0; step <= 99; ++step) {
+        const double crit =
+            std::min(opts.max_criticality, static_cast<double>(step) / 100.0);
+        for (const double node_cost : {0.5, 1.0, 3.5}) {
+          EXPECT_LE(q, (1.0 - crit) * node_cost + crit * se_delay)
+              << "crit " << crit << " node cost " << node_cost;
+        }
+      }
+      // The bound is tight: the cheapest increment at max criticality.
+      const double c = opts.max_criticality;
+      EXPECT_EQ(q, std::min(0.5, (1.0 - c) * 0.5 + c * se_delay));
+    }
+  }
+  // At the default delays the quantum is the historical 0.5 either way,
+  // so kBucket routing (and its pinned smoke counters) does not move.
+  RouterOptions timed;
+  timed.timing_mode = true;
+  const timing::ContextTimingSpec default_spec;
+  EXPECT_EQ(bucket_quantum_for(timed, &default_spec), 0.5);
+  EXPECT_EQ(bucket_quantum_for(timed, nullptr), 0.5);
+  EXPECT_EQ(bucket_quantum_for(RouterOptions{}, &default_spec), 0.5);
+}
+
 // --- CalendarQueue fuzz: span boundaries, rebase cycles, FIFO --------------
 
 /// Reference model of the queue's contract, used as the fuzz oracle:
@@ -460,52 +505,6 @@ TEST(BucketQueue, FuzzMatchesReferenceModel) {
     }
     EXPECT_TRUE(ref.empty());
   }
-}
-
-TEST(BucketQueue, PopBatchMatchesSequentialPops) {
-  // pop_batch must return exactly what that many consecutive pop() calls
-  // would — across bucket boundaries, the overflow rebase, and pushes
-  // interleaved between batches (the speculative drain claims a window,
-  // commits it, then pushes the dirty set before claiming the next).
-  const auto build = [](BucketQueue& q) {
-    q.configure(1.0, 4);
-    q.push(1.5, 1);
-    q.push(9.0, 2);
-    q.push(2.5, 3);
-    q.push(9.2, 4);
-    q.push(0.0, 5);
-    q.push(6.0, 6);
-  };
-  BucketQueue seq;
-  build(seq);
-  BucketQueue batched;
-  build(batched);
-  std::vector<BucketQueue::Item> batch;
-  while (!batched.empty()) {
-    const std::size_t got = batched.pop_batch(4, batch);
-    ASSERT_EQ(got, batch.size());
-    ASSERT_GT(got, 0u);
-    for (std::size_t k = 0; k < got; ++k) {
-      const auto ref = seq.pop();
-      EXPECT_EQ(batch[k].value, ref.value);
-      EXPECT_EQ(batch[k].cost, ref.cost);
-    }
-    if (batched.size() == 2) {  // mid-drain pushes land in later batches
-      batched.push(3.0, 7);
-      seq.push(3.0, 7);
-    }
-  }
-  EXPECT_TRUE(seq.empty());
-  // An over-long request drains what is there and reports the count.
-  BucketQueue q;
-  q.configure(0.5, 8);
-  q.push(1.0, 1);
-  q.push(0.5, 2);
-  EXPECT_EQ(q.pop_batch(16, batch), 2u);
-  EXPECT_EQ(batch[0].value, 2u);
-  EXPECT_EQ(batch[1].value, 1u);
-  EXPECT_EQ(q.pop_batch(16, batch), 0u);
-  EXPECT_TRUE(batch.empty());
 }
 
 // --- CorePool checkout hardening -----------------------------------------

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -366,55 +367,59 @@ TEST(RouteSchedule, ClosureLoopWithNegotiatedRoutingIsDeterministic) {
   EXPECT_EQ(worst_critical_path(reference), worst_critical_path(d));
 }
 
-TEST(RouteSchedule, RejectsBadCrossContextOptions) {
-  const arch::RoutingGraph graph(small_spec());
-  route::RouterOptions options;
-  options.cross_context_rounds = 0;
-  EXPECT_THROW(route::Router(graph, options), InvalidArgument);
-  options = {};
-  options.cross_context_pressure_weight = -0.1;
-  EXPECT_THROW(route::Router(graph, options), InvalidArgument);
-  options = {};
-  options.interleave_waves = 0;
-  EXPECT_THROW(route::Router(graph, options), InvalidArgument);
-  options = {};
-  options.interleave_crit_quantum = 0.0;
-  EXPECT_THROW(route::Router(graph, options), InvalidArgument);
-}
-
 // --- Net-interleaved scheduling (CrossContextMode::kInterleaved) ---------
 
 TEST(RouteSchedule, InterleavedDeterministicAcrossWorkerCounts) {
-  // The merged worklist is drained sequentially and the calendar queue
-  // pops are a pure function of pushes, so any worker count must yield
-  // bit-identical routing and identical per-wave trajectories.
-  const auto nl = workload::pipeline_workload(4, 8);
-  CompileOptions base;
-  base.placer.timing_mode = true;
-  base.router.timing_mode = true;
-  base.router.cross_context_mode = route::CrossContextMode::kInterleaved;
-  base.router.num_threads = 1;
-  FlowContext reference = routed_context(nl, base);
-  // Baseline round plus at least one wave actually ran.
-  ASSERT_GE(reference.routing.negotiation_stats.size(), 2u);
+  // The merged worklist drains one net at a time in pop order, and the
+  // calendar queue's pops are a pure function of its pushes, so any
+  // worker count (which only parallelizes the round-0 baseline) must yield
+  // bit-identical routing and byte-equal per-wave trajectories — work
+  // counters included — over random workloads in both timing modes.
+  struct Case {
+    const char* name;
+    netlist::MultiContextNetlist nl;
+  };
+  const std::vector<Case> cases = {
+      {"pipeline(4,8)", workload::pipeline_workload(4, 8)},
+      {"random 11", random_workload(11)},
+      {"random 47", random_workload(47)},
+  };
+  for (const Case& wl : cases) {
+    for (const bool timed : {false, true}) {
+      SCOPED_TRACE(std::string(wl.name) + (timed ? " timed" : " untimed"));
+      CompileOptions base;
+      base.placer.timing_mode = timed;
+      base.router.timing_mode = timed;
+      base.router.cross_context_mode = route::CrossContextMode::kInterleaved;
+      base.router.num_threads = 1;
+      FlowContext reference = routed_context(wl.nl, base);
+      const auto& ref_stats = reference.routing.negotiation_stats;
+      // Baseline round plus at least one wave actually ran.
+      ASSERT_GE(ref_stats.size(), 2u);
 
-  for (const std::size_t threads : {2u, 4u, 7u}) {
-    CompileOptions options = base;
-    options.router.num_threads = threads;
-    FlowContext ctx = routed_context(nl, options);
-    expect_same_routing(reference.routing, ctx.routing);
-    ASSERT_EQ(ctx.routing.negotiation_stats.size(),
-              reference.routing.negotiation_stats.size());
-    for (std::size_t r = 0; r < ctx.routing.negotiation_stats.size(); ++r) {
-      const auto& a = reference.routing.negotiation_stats[r];
-      const auto& b = ctx.routing.negotiation_stats[r];
-      EXPECT_EQ(a.round, b.round);
-      EXPECT_EQ(a.conflicts, b.conflicts);
-      EXPECT_EQ(a.worst_critical_switches, b.worst_critical_switches);
-      EXPECT_DOUBLE_EQ(a.worst_critical_path, b.worst_critical_path);
-      EXPECT_EQ(a.nets_rerouted, b.nets_rerouted);
-      EXPECT_EQ(a.nets_requeued, b.nets_requeued);
-      EXPECT_EQ(a.kept, b.kept);
+      for (const std::size_t threads : {2u, 4u, 8u}) {
+        CompileOptions options = base;
+        options.router.num_threads = threads;
+        FlowContext ctx = routed_context(wl.nl, options);
+        expect_same_routing(reference.routing, ctx.routing);
+        const auto& stats = ctx.routing.negotiation_stats;
+        ASSERT_EQ(stats.size(), ref_stats.size()) << "threads " << threads;
+        for (std::size_t r = 0; r < stats.size(); ++r) {
+          const auto& a = ref_stats[r];
+          const auto& b = stats[r];
+          SCOPED_TRACE("threads " + std::to_string(threads) + " entry " +
+                       std::to_string(r));
+          EXPECT_EQ(a.round, b.round);
+          EXPECT_EQ(a.conflicts, b.conflicts);
+          EXPECT_EQ(a.worst_critical_switches, b.worst_critical_switches);
+          EXPECT_EQ(a.worst_critical_path, b.worst_critical_path);
+          EXPECT_EQ(a.heap_pushes, b.heap_pushes);
+          EXPECT_EQ(a.nodes_expanded, b.nodes_expanded);
+          EXPECT_EQ(a.nets_rerouted, b.nets_rerouted);
+          EXPECT_EQ(a.nets_requeued, b.nets_requeued);
+          EXPECT_EQ(a.kept, b.kept);
+        }
+      }
     }
   }
 }
@@ -539,119 +544,6 @@ TEST(RouteSchedule, InterleavedReducesExpansionsOverRoundBased) {
   // And not at the cost of the kept metric.
   EXPECT_LE(worst_critical_switches(r_inter),
             worst_critical_switches(r_nego));
-}
-
-TEST(RouteSchedule, SpeculativeDrainWorkerCountFuzz) {
-  // The speculative multi-worker drain must be a pure function of queue
-  // order: over random workloads, in both timing modes, every worker
-  // count must produce (a) bit-identical routing to the sequential
-  // single-worker drain, (b) byte-stable per-wave heap_pushes /
-  // nodes_expanded (adopted speculations fold the exact counters a live
-  // re-route would have produced; aborted ones are discarded entirely),
-  // and (c) speculation hit/abort counters that depend only on the batch
-  // window — identical across every worker count above one.
-  for (const bool timed : {false, true}) {
-    for (const std::uint64_t seed : {11u, 47u}) {
-      const auto nl = random_workload(seed);
-      CompileOptions base;
-      base.placer.timing_mode = timed;
-      base.router.timing_mode = timed;
-      base.router.cross_context_mode = route::CrossContextMode::kInterleaved;
-      base.router.num_threads = 1;
-      base.router.interleave_workers = 1;  // the sequential reference drain
-      FlowContext reference = routed_context(nl, base);
-      const auto& ref_stats = reference.routing.negotiation_stats;
-      ASSERT_GE(ref_stats.size(), 2u) << "seed " << seed;
-      for (const auto& s : ref_stats) {
-        EXPECT_EQ(s.spec_hits, 0u);  // one worker never speculates
-        EXPECT_EQ(s.spec_aborts, 0u);
-      }
-      for (const auto& s : reference.routing.context_summary) {
-        EXPECT_EQ(s.spec_hits, 0u);
-        EXPECT_EQ(s.spec_aborts, 0u);
-      }
-
-      // The speculation trajectory of the first parallel run anchors the
-      // worker-count-independence check for the rest.
-      std::vector<std::pair<std::size_t, std::size_t>> spec_profile;
-      for (const std::size_t w : {2u, 4u, 8u}) {
-        CompileOptions options = base;
-        options.router.interleave_workers = w;
-        FlowContext ctx = routed_context(nl, options);
-        expect_same_routing(reference.routing, ctx.routing);
-        const auto& stats = ctx.routing.negotiation_stats;
-        ASSERT_EQ(stats.size(), ref_stats.size())
-            << "seed " << seed << " workers " << w;
-        for (std::size_t r = 0; r < stats.size(); ++r) {
-          const auto& a = ref_stats[r];
-          const auto& b = stats[r];
-          EXPECT_EQ(a.heap_pushes, b.heap_pushes)
-              << "seed " << seed << " workers " << w << " entry " << r;
-          EXPECT_EQ(a.nodes_expanded, b.nodes_expanded)
-              << "seed " << seed << " workers " << w << " entry " << r;
-          EXPECT_EQ(a.conflicts, b.conflicts);
-          EXPECT_EQ(a.nets_rerouted, b.nets_rerouted);
-          EXPECT_EQ(a.nets_requeued, b.nets_requeued);
-          EXPECT_EQ(a.kept, b.kept);
-          // Every pop of a wave is either a hit or an abort, so the two
-          // at least cover the committed re-routes.
-          EXPECT_GE(b.spec_hits + b.spec_aborts, b.nets_rerouted)
-              << "seed " << seed << " workers " << w << " entry " << r;
-          if (w == 2) {
-            spec_profile.emplace_back(b.spec_hits, b.spec_aborts);
-          } else {
-            EXPECT_EQ(spec_profile[r].first, b.spec_hits)
-                << "seed " << seed << " workers " << w << " entry " << r;
-            EXPECT_EQ(spec_profile[r].second, b.spec_aborts)
-                << "seed " << seed << " workers " << w << " entry " << r;
-          }
-        }
-        // Per-context summaries fold the same totals the waves recorded.
-        std::size_t wave_hits = 0;
-        std::size_t wave_aborts = 0;
-        for (const auto& s : stats) {
-          wave_hits += s.spec_hits;
-          wave_aborts += s.spec_aborts;
-        }
-        std::size_t ctx_hits = 0;
-        std::size_t ctx_aborts = 0;
-        for (const auto& s : ctx.routing.context_summary) {
-          ctx_hits += s.spec_hits;
-          ctx_aborts += s.spec_aborts;
-        }
-        EXPECT_EQ(ctx_hits, wave_hits);
-        EXPECT_EQ(ctx_aborts, wave_aborts);
-      }
-    }
-  }
-}
-
-TEST(RouteSchedule, SpeculationWindowDoesNotChangeRouting) {
-  // The batch window trades latency for abort rate but must never change
-  // WHAT is committed — the commit order is the queue's pop order for
-  // any window size.
-  const auto nl = workload::pipeline_workload(4, 8);
-  CompileOptions base;
-  base.placer.timing_mode = true;
-  base.router.timing_mode = true;
-  base.router.cross_context_mode = route::CrossContextMode::kInterleaved;
-  base.router.num_threads = 1;
-  base.router.interleave_workers = 1;
-  FlowContext reference = routed_context(nl, base);
-  for (const std::size_t window : {1u, 3u, 64u}) {
-    CompileOptions options = base;
-    options.router.interleave_workers = 4;
-    options.router.speculation_window = window;
-    FlowContext ctx = routed_context(nl, options);
-    expect_same_routing(reference.routing, ctx.routing);
-  }
-}
-
-TEST(RouteSchedule, RejectsBadSpeculationWindow) {
-  const arch::RoutingGraph graph(small_spec());
-  route::RouterOptions options;
-  options.speculation_window = 0;
-  EXPECT_THROW(route::Router(graph, options), InvalidArgument);
 }
 
 }  // namespace
