@@ -13,7 +13,9 @@
 # change that breaks what perfbench reads fails here, not only in the
 # benchmark run.  The TSan lane also runs the stage-cache and daemon test
 # suites, whose concurrent-hit stress tests restore from the shared cache
-# while other threads publish into it and evict from it.
+# while other threads publish into it and evict from it, and the
+# cross-context routing suite, whose worker-count determinism tests fan
+# the independent baseline out over threads in both cross-context modes.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-check)
 set -euo pipefail
@@ -30,25 +32,29 @@ SAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$SAN_DIR" -S . -DMCFPGA_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$SAN_DIR" -j "$(nproc)"
 ctest --test-dir "$SAN_DIR" --output-on-failure -j "$(nproc)"
-echo "--- sanitizer bench smoke (engines + both negotiation schedulers) ---"
+echo "--- sanitizer bench smoke (engines + interleaved cross-context pass) ---"
 "$SAN_DIR"/bench_routing_delay --smoke > /dev/null
 
-echo "--- sanitizer (TSan) bench smoke + cache/daemon tests ---"
+echo "--- sanitizer (TSan) bench smoke + cache/daemon/routing tests ---"
 # The routing smoke runs per-context parallel routing (its compiled
 # designs and the serial-vs-parallel section route with one worker per
 # hardware thread), the daemon smoke runs the compile service's worker
-# threads, and test_cache / test_serve run concurrent cache hits against
-# publishes and evictions (the lock-free restore path) — the places real
-# concurrency lives.
+# threads, test_cache / test_serve run concurrent cache hits against
+# publishes and evictions (the lock-free restore path), and
+# test_route_schedule routes the independent baseline on up to 8 workers
+# before the interleaved pass takes over the same pooled cores — the
+# places real concurrency lives.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DMCFPGA_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$TSAN_DIR" -j "$(nproc)" \
-  --target bench_routing_delay bench_serve test_cache test_serve
+  --target bench_routing_delay bench_serve test_cache test_serve \
+  test_route_schedule
 "$TSAN_DIR"/bench_routing_delay --smoke > /dev/null
 "$TSAN_DIR"/bench_serve --smoke > /dev/null
 "$TSAN_DIR"/test_cache
 "$TSAN_DIR"/test_serve
+"$TSAN_DIR"/test_route_schedule
 
 echo "--- bench smoke runs ---"
 "$BUILD_DIR"/bench_placer --smoke

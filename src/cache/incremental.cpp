@@ -344,12 +344,13 @@ Compiled CompileService::compile_incremental(
                     observer);
   }
   if (options.router.cross_context_mode != route::CrossContextMode::kOff) {
-    // A cross-context-negotiated design keeps its delta path only when
-    // the edit stays inside ONE context: the other contexts' negotiated
-    // trees then match verbatim and the partial re-route cannot disturb
-    // the cross-context bargain they struck.  An edit spanning contexts
-    // would silently drop the negotiation, so that takes the full
-    // pipeline instead.
+    // An interleaved design keeps its delta path only when the edit stays
+    // inside ONE context: the other contexts' trees then match verbatim
+    // and the partial re-route cannot disturb the cross-context bargain
+    // the waves struck.  An edit spanning contexts would silently drop
+    // that bargain, so it takes the full pipeline instead.  The fallback
+    // reason keeps its historical wording: perfbench's fallback counters
+    // match it word for word.
     std::size_t touched_contexts = 0;
     for (const std::size_t changed : diff.changed_per_context) {
       touched_contexts += changed > 0 ? 1 : 0;
@@ -550,7 +551,7 @@ Compiled CompileService::compile_incremental(
       }
       route::RouterCore::ContextResult pass = router_core.route_pass(
           sub_nets, options.router.timing_mode ? &sub_spec : nullptr,
-          nullptr, &pressure, nullptr);
+          nullptr, &pressure);
       if (!pass.converged) {
         return fallback(previous, edited, options,
                         "delta route did not converge", observer);

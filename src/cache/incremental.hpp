@@ -12,8 +12,9 @@
 // wires with a prohibitive congestion pressure so the partial route
 // composes with the kept trees (RouterCore::route_pass).  Any condition
 // the delta path cannot honor (big diff, changed options, resized fabric,
-// closure/negotiated flows, non-convergence, wire overlap) falls back to
-// a full — still cached — recompile, recorded in CacheStats::delta_fallback.
+// closure flows, multi-context edits of an interleaved flow,
+// non-convergence, wire overlap) falls back to a full — still cached —
+// recompile, recorded in CacheStats::delta_fallback.
 //
 // The delta path is single-threaded by construction, so its results are
 // deterministic for any worker-count setting; the full path inherits the

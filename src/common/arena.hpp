@@ -1,7 +1,7 @@
 // Bump-allocated scratch arena for per-worker engine state.
 //
 // The router's inner loop re-routes the same graph context after context,
-// pass after pass, negotiation round after round — and every RouterCore
+// pass after pass, closure iteration after iteration — and every RouterCore
 // used to re-own (and re-malloc) its per-node scratch vectors each time a
 // worker was built.  A ScratchArena decouples the memory's lifetime from
 // the engine's: a worker keeps one arena alive for the whole job, every

@@ -201,12 +201,12 @@ void ClosureLoopStage::run(FlowContext& ctx) const {
 
     // Re-route under the new placement: timing-driven, with the
     // congestion history of every earlier iteration carried in.  Under
-    // negotiated cross-context routing the scheduler additionally gets
+    // interleaved cross-context routing the post-pass additionally gets
     // per-context criticalities from the PREVIOUS iteration's STA: each
     // context's critical path as a fraction of the worst context's
     // (equivalently 1 - slack/budget under the shared budget), so the
-    // context with the least slack claims wires first and exports the
-    // strongest pressure.
+    // nets of the context with the least slack pop first and it exports
+    // the strongest pressure.
     ctx.nets_per_context = build_route_nets(ctx);
     route::RouterOptions router_options = ctx.options.router;
     router_options.timing_mode = true;

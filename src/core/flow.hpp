@@ -14,8 +14,8 @@
 //   RouteStage      — PathFinder over the RRG (Sec. 3), contexts routed
 //                     in parallel with bit-identical-to-serial results
 //                     (optionally timing-driven, router timing_mode;
-//                     optionally cross-context negotiated, router
-//                     cross_context_mode — route/schedule.hpp);
+//                     optionally an interleaved cross-context pass,
+//                     router cross_context_mode — route/schedule.hpp);
 //   TimingStage     — per-context incremental STA over the routed design:
 //                     TimingReports + ContextStats critical paths;
 //   ProgramStage    — LUT plane tables, switch patterns, pad bindings,
@@ -97,7 +97,7 @@ struct ContextStats {
   double critical_path = 0.0;        ///< From the SE delay model.
   /// Wire nodes this context shares with at least one other context
   /// (route::ContextRouteSummary::cross_context_conflicts — what the
-  /// negotiated cross-context scheduler drives down).
+  /// interleaved cross-context post-pass drives down).
   std::size_t cross_context_conflicts = 0;
   /// Maze-expansion engine traffic of the kept routing pass (see
   /// route::ContextRouteSummary): queue pushes/pops, lazy-deletion stale

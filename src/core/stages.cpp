@@ -427,19 +427,19 @@ void RouteStage::run(FlowContext& ctx) const {
   // extra output does not perturb the routing itself.
   route::RouteHistory* history =
       ctx.options.closure_iterations >= 2 ? &ctx.route_history : nullptr;
-  // The cross-context schedulers (negotiated and interleaved) want the
-  // timing specs even with timing_mode off: they power the per-round /
-  // per-wave STA scoring (the timing-driven expansion cost stays gated on
-  // timing_mode inside the router either way).
-  const bool negotiated = ctx.options.router.cross_context_mode !=
-                          route::CrossContextMode::kOff;
+  // The interleaved post-pass wants the timing specs even with
+  // timing_mode off: they power its per-wave STA scoring (the
+  // timing-driven expansion cost stays gated on timing_mode inside the
+  // router either way).
+  const bool interleaved = ctx.options.router.cross_context_mode ==
+                           route::CrossContextMode::kInterleaved;
   if (!ctx.router_pool) {
     ctx.router_pool = std::make_shared<route::CorePool>();
   }
   ctx.routing = router.route(
       ctx.nets_per_context,
-      ctx.options.router.timing_mode || negotiated ? &ctx.timing_specs
-                                                   : nullptr,
+      ctx.options.router.timing_mode || interleaved ? &ctx.timing_specs
+                                                    : nullptr,
       history, nullptr, ctx.router_pool.get());
   if (!ctx.routing.success) {
     throw FlowError("routing failed to converge (congestion)");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <exception>
 
 #include "common/error.hpp"
@@ -90,27 +91,31 @@ std::vector<std::size_t> cross_context_conflicts(
   return conflicts;
 }
 
-std::vector<std::size_t> cross_context_conflicts(
-    const arch::RoutingGraph& graph,
-    const std::vector<std::vector<RoutedNet>>& nets_per_context) {
-  const std::size_t num_nodes = graph.num_nodes();
-  const std::size_t num_contexts = nets_per_context.size();
-  // Rebuild the per-context wire-usage bitmaps from the routed trees
-  // (bitmaps deduplicate naturally: a node may sit on many paths of one
-  // tree) and delegate to the one true conflict count.
-  std::vector<std::vector<std::uint8_t>> usage(
-      num_contexts, std::vector<std::uint8_t>(num_nodes, 0));
-  for (std::size_t c = 0; c < num_contexts; ++c) {
-    for (const auto& net : nets_per_context[c]) {
-      for (const auto& path : net.paths) {
-        for (const EdgeId e : path.edges) {
-          const NodeId to = graph.edge(e).to;
-          if (graph.node(to).kind == arch::NodeKind::kWire) {
-            usage[c][static_cast<std::size_t>(to)] = 1;
-          }
+std::vector<std::uint8_t> wire_usage(const arch::RoutingGraph& graph,
+                                     const std::vector<RoutedNet>& nets) {
+  // A bitmap deduplicates naturally: a node may sit on many paths of one
+  // tree.
+  std::vector<std::uint8_t> usage(graph.num_nodes(), 0);
+  for (const auto& net : nets) {
+    for (const auto& path : net.paths) {
+      for (const EdgeId e : path.edges) {
+        const NodeId to = graph.edge(e).to;
+        if (graph.node(to).kind == arch::NodeKind::kWire) {
+          usage[static_cast<std::size_t>(to)] = 1;
         }
       }
     }
+  }
+  return usage;
+}
+
+std::vector<std::size_t> cross_context_conflicts(
+    const arch::RoutingGraph& graph,
+    const std::vector<std::vector<RoutedNet>>& nets_per_context) {
+  std::vector<std::vector<std::uint8_t>> usage;
+  usage.reserve(nets_per_context.size());
+  for (const auto& nets : nets_per_context) {
+    usage.push_back(wire_usage(graph, nets));
   }
   return cross_context_conflicts(usage);
 }
@@ -134,14 +139,17 @@ RouteResult Router::route(
       context_criticality == nullptr ||
           context_criticality->size() == num_contexts,
       "context criticalities must cover every context");
+  const bool interleaved =
+      options_.cross_context_mode == CrossContextMode::kInterleaved;
+  // The interleaved post-pass seeds its sessions from the baseline's final
+  // PathFinder history, so the baseline must record one even when the
+  // caller keeps none.
+  RouteHistory local_history;
+  if (history == nullptr && interleaved) {
+    history = &local_history;
+  }
   if (history != nullptr) {
     history->prepare(num_contexts, graph_.num_nodes());
-  }
-
-  if (options_.cross_context_mode != CrossContextMode::kOff) {
-    const ContextScheduler scheduler(graph_, options_);
-    return scheduler.route(nets_per_context, timing, history,
-                           context_criticality, pool);
   }
 
   std::vector<RouterCore::ContextResult> per_context(num_contexts);
@@ -153,16 +161,21 @@ RouteResult Router::route(
   // drawn from the caller's pool when it has one so repeated calls reuse
   // warm scratch.  Slots are claimed first-come — cores are
   // interchangeable (route_pass fully resets per-pass state), so the
-  // result does not depend on which thread grabs which slot.
+  // result does not depend on which thread grabs which slot.  The
+  // interleaved post-pass keeps one live session per CONTEXT, so under
+  // kInterleaved the pool must cover the contexts, not just the workers.
   CorePool local_pool;
   CorePool& cores = pool != nullptr ? *pool : local_pool;
-  cores.prepare(workers, graph_, options_);
+  cores.prepare(interleaved ? std::max(workers, num_contexts) : workers,
+                graph_, options_);
+  const std::chrono::steady_clock::time_point start =
+      std::chrono::steady_clock::now();
   std::atomic<std::size_t> next_slot{0};
   parallel_for_index(num_contexts, workers, [&]() {
     RouterCore* core = &cores.core(next_slot.fetch_add(1));
     return [&, core](std::size_t c) {
       try {
-        per_context[c] = core->route_context(
+        per_context[c] = core->route_pass(
             nets_per_context[c], timing ? &(*timing)[c] : nullptr,
             history ? &history->per_context[c] : nullptr);
       } catch (...) {
@@ -178,6 +191,11 @@ RouteResult Router::route(
     }
   }
 
+  if (interleaved) {
+    return interleave_contexts(graph_, nets_per_context, timing, *history,
+                               context_criticality, cores,
+                               std::move(per_context), start);
+  }
   // Deterministic merge: contexts in order, independent of worker timing.
   return merge_context_results(graph_, std::move(per_context));
 }

@@ -16,14 +16,12 @@
 // Contexts are NOT independent in the cost model, though: every physical
 // switch carries one on/off bit per context, and the RCM decoder prices a
 // switch by how its pattern varies across contexts.  With
-// RouterOptions::cross_context_mode != kOff, Router::route hands the
-// contexts to route::ContextScheduler (route/schedule.hpp), which orders
-// routing by per-context criticality, exchanges per-node pressure between
-// contexts, and re-routes either whole contexts in negotiation rounds
-// (kNegotiated) or single nets drained one at a time from one merged
-// criticality queue (kInterleaved) until cross-context wire conflicts
-// stop improving.  kOff (the default) keeps the historical fully
-// independent routing, bit for bit.
+// RouterOptions::cross_context_mode == kInterleaved, Router::route hands
+// the independent routing to a post-pass (route/schedule.hpp) that rips
+// and re-routes single nets, drained one at a time from one merged
+// criticality queue, against per-node pressure exchanged between contexts
+// until cross-context wire conflicts stop improving.  kOff (the default)
+// returns the independent routing as is.
 //
 // Delay accounting follows the paper's SE model: every switch crossed
 // costs one SE delay, so a straight run of L cells costs L switches on
@@ -87,20 +85,15 @@ enum class QueueMode : std::uint8_t {
 enum class CrossContextMode : std::uint8_t {
   /// Every context routed independently (the historical behavior).
   kOff,
-  /// Criticality-ordered negotiation rounds with shared per-node pressure
-  /// (route/schedule.hpp).  Deterministic for a fixed seed regardless of
-  /// worker count; never worse than kOff on the kept metric (the
-  /// independent baseline is round 0 of the negotiation and the best
-  /// round wins).
-  kNegotiated,
-  /// One merged net-level worklist instead of whole-context rounds: after
-  /// the independent baseline, (context, net) entries are popped from a
-  /// single criticality-ordered calendar queue, ripped up and re-routed
-  /// one net at a time against live cross-context pressure updated at
-  /// commit granularity, and only nets whose pressure actually changed
-  /// are re-enqueued (dirty-set propagation).  Same keep-best guarantee
-  /// and worker-count determinism as kNegotiated, but the cost tracks
-  /// conflict churn instead of rounds x contexts x nets.
+  /// Independent routing, then one merged net-level worklist over it
+  /// (route/schedule.hpp): (context, net) entries are popped from a single
+  /// criticality-ordered calendar queue, ripped up and re-routed one net
+  /// at a time against live cross-context pressure updated at commit
+  /// granularity, and only nets whose pressure actually changed are
+  /// re-enqueued (dirty-set propagation).  Deterministic for a fixed seed
+  /// regardless of worker count; never worse than kOff on the kept metric
+  /// (the independent routing is the first scored state and the best
+  /// state wins).
   kInterleaved,
 };
 
@@ -139,10 +132,9 @@ struct RouterOptions {
   /// the most critical connection so negotiation still converges.
   double max_criticality = 0.99;
   /// Cross-context coupling: kOff = independent contexts (bit-identical
-  /// to the historical router); kNegotiated and kInterleaved schedule
-  /// contexts by criticality with shared congestion pressure
-  /// (route/schedule.hpp, whose round, wave and pressure settings are
-  /// constants).
+  /// to the historical router); kInterleaved re-routes contested nets
+  /// by criticality with shared congestion pressure (route/schedule.hpp,
+  /// whose wave and pressure settings are constants).
   CrossContextMode cross_context_mode = CrossContextMode::kOff;
   /// Maze-expansion priority queue engine (see QueueMode).  kBucket derives
   /// its bucket width per pass from the smallest relaxation increment
@@ -184,7 +176,7 @@ struct ContextRouteSummary {
   std::size_t switches_crossed = 0;  ///< Sum over all sink connections.
   /// Wire nodes this context uses that at least one other context also
   /// uses — the raw material of non-constant switch patterns (and of the
-  /// cross-context detour pressure the negotiated scheduler relieves).
+  /// cross-context detour pressure the interleaved post-pass relieves).
   std::size_t cross_context_conflicts = 0;
   /// Maze-expansion engine traffic over the context's whole negotiation
   /// (every rip-up iteration, net, and sink): queue pushes and pops, pops
@@ -196,42 +188,40 @@ struct ContextRouteSummary {
   std::size_t stale_pops = 0;
   std::size_t nodes_expanded = 0;
   /// kInterleaved only: nets of this context ripped up and re-routed by
-  /// the merged worklist (0 for every other mode, and for a baseline that
-  /// was already conflict-free).
+  /// the merged worklist (0 in kOff mode, and for a baseline that was
+  /// already conflict-free).
   std::size_t interleave_reroutes = 0;
   /// kInterleaved only: (net) entries of this context pushed back onto the
   /// merged queue because a peer's commit changed their pressure.
   std::size_t interleave_requeues = 0;
 };
 
-/// One outer negotiation round of the cross-context scheduler (round 0 is
-/// the independent baseline; see route/schedule.hpp).  In kInterleaved
-/// mode each entry past round 0 is one WAVE of the merged worklist: the
-/// conflicts/QoR columns keep their meaning, and the per-wave churn
-/// counters below become meaningful.
+/// One scored state of the kInterleaved post-pass (route/schedule.hpp):
+/// entry 0 is the independent baseline, every later entry one WAVE of the
+/// merged worklist.
 struct NegotiationRoundStats {
   std::size_t round = 0;
-  /// Sum of per-context cross_context_conflicts after this round.
+  /// Sum of per-context cross_context_conflicts after this entry.
   std::size_t conflicts = 0;
   /// Worst per-connection switch count over all contexts.
   std::size_t worst_critical_switches = 0;
   /// Worst per-context STA critical path (0 when routed without specs).
   double worst_critical_path = 0.0;
+  /// Wall clock of the entry; the baseline's includes routing it.
   double seconds = 0.0;
-  /// True on the single round whose routing the scheduler returned.
+  /// True on the single entry whose routing the post-pass returned.
   bool kept = false;
-  /// kInterleaved: nets actually ripped + re-routed in this wave (0 for
-  /// round-based modes and the round-0 baseline).
+  /// Nets actually ripped + re-routed in this wave (0 for the baseline).
   std::size_t nets_rerouted = 0;
-  /// kInterleaved: nets enqueued for the NEXT wave because a commit in
-  /// this wave changed their pressure.  Consistency invariant (tested):
+  /// Nets enqueued for the NEXT wave because a commit in this wave
+  /// changed their pressure.  Consistency invariant (tested):
   /// wave k's nets_rerouted never exceeds wave k-1's nets_requeued.
   std::size_t nets_requeued = 0;
-  /// Maze-expansion traffic the round/wave actually spent, summed over
-  /// contexts (wave entries count only the ripped nets' re-routes).
-  /// Summing these over every entry gives the negotiation's TOTAL cost —
-  /// the number the interleaved-vs-round-based comparison gates on; the
-  /// kept-round counters in ContextRouteSummary deliberately do not.
+  /// Maze-expansion traffic the entry actually spent, summed over
+  /// contexts (the baseline's full passes; wave entries count only the
+  /// ripped nets' re-routes).  Summing these over every entry gives the
+  /// post-pass's TOTAL cost; the kept-entry counters in
+  /// ContextRouteSummary deliberately do not.
   std::size_t heap_pushes = 0;
   std::size_t nodes_expanded = 0;
   /// Always 0: the speculative drain is gone, perfbench still reads these.
@@ -248,10 +238,8 @@ struct RouteResult {
   std::vector<config::ContextPattern> switch_patterns;
   /// One summary per context, filled during the routing commit.
   std::vector<ContextRouteSummary> context_summary;
-  /// Negotiation rounds executed (including the round-0 baseline); 0 when
-  /// cross_context_mode was kOff.
-  std::size_t negotiation_rounds = 0;
-  /// One entry per executed round (empty in kOff mode).
+  /// The baseline plus one entry per interleaved wave (empty in kOff
+  /// mode).
   std::vector<NegotiationRoundStats> negotiation_stats;
 
   /// Worst switch count over all sink connections of one context.
@@ -281,22 +269,22 @@ class Router {
   /// cleared), a context whose entry matches the graph's node count seeds
   /// its negotiation from it, and every context writes its final history
   /// back.  Seeding and write-back are per-context, so parallel results
-  /// remain bit-identical to serial.
+  /// remain bit-identical to serial.  Under kInterleaved the write-back is
+  /// the independent baseline's history: the post-pass never writes it.
   ///
   /// `context_criticality` (may be null; one value in [0, 1] per context)
-  /// drives the scheduler's ordering and pressure weights when
-  /// options.cross_context_mode != kOff — the closure loop passes
+  /// drives the post-pass's queue order and pressure weights when
+  /// options.cross_context_mode == kInterleaved — the closure loop passes
   /// each context's critical path as a fraction of the worst context's,
   /// from the previous iteration's STA (1 - slack/budget under the
-  /// shared budget).  Null = every context equally critical (ordering
-  /// falls back to context index).  Ignored in kOff mode.
+  /// shared budget).  Null = every context equally critical.  Ignored in
+  /// kOff mode.
   ///
   /// `pool` (may be null = per-call engines) supplies per-worker
   /// RouterCores whose arena scratch and cached timing DAGs persist
-  /// across calls — the closure loop routes every iteration and the
-  /// negotiated scheduler every round, so reuse removes the per-call
-  /// allocate-and-levelize tax.  Pooled and pool-free results are
-  /// bit-identical.
+  /// across calls — the closure loop routes every iteration, so reuse
+  /// removes the per-call allocate-and-levelize tax.  Pooled and
+  /// pool-free results are bit-identical.
   RouteResult route(const std::vector<std::vector<RouteNet>>& nets_per_context,
                     const std::vector<timing::ContextTimingSpec>* timing =
                         nullptr,
@@ -317,8 +305,14 @@ class Router {
 std::vector<std::size_t> cross_context_conflicts(
     const std::vector<std::vector<std::uint8_t>>& usage);
 
-/// Same, computed from routed trees (builds the usage bitmaps and
-/// delegates).  Shared by the independent merge and the scheduler.
+/// One context's usage bitmap from its routed trees: 1 where a path
+/// enters a WIRE node.  Pins and pads are context-local endpoints, not
+/// shared fabric, so they never count.
+std::vector<std::uint8_t> wire_usage(const arch::RoutingGraph& graph,
+                                     const std::vector<RoutedNet>& nets);
+
+/// Same as above, computed from routed trees (wire_usage per context,
+/// then delegates).
 std::vector<std::size_t> cross_context_conflicts(
     const arch::RoutingGraph& graph,
     const std::vector<std::vector<RoutedNet>>& nets_per_context);

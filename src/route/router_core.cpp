@@ -137,16 +137,17 @@ double RouterCore::dist_of(std::size_t node) const {
 }
 
 void RouterCore::refresh_node_cost(std::size_t idx) {
-  // Cross-context pressure is a present-cost term: wires claimed by
-  // other (weighted by how critical) contexts look congested before this
-  // context ever touches them.  Null pressure = bit-identical to the
-  // independent router.  The expression and its operation order are the
-  // historical inline ones, so the cache is bit-neutral.
+  // Pressure is a present-cost term: wires claimed by other (weighted by
+  // how critical) contexts, or pinned by a delta recompile, look
+  // congested before this context ever touches them.  Null pressure =
+  // bit-identical to the independent router.  The expression and its
+  // operation order are the historical inline ones, so the cache is
+  // bit-neutral.
   double congestion = 1.0 + history_[idx] +
                       present_factor_ * static_cast<double>(occupancy_[idx]);
   if (pressure_of_ != nullptr) {
     // pressure_scale_ is 1.0 outside interleaved sessions, and x * 1.0 is
-    // bit-exact — the scheduler's round-based modes stay bit-identical.
+    // bit-exact — pressured route_pass calls stay bit-identical.
     congestion += pressure_scale_ * pressure_of_[idx];
   }
   node_cost_[idx] = base_cost_[idx] * congestion;
@@ -326,8 +327,7 @@ RouterCore::TimingEngine& RouterCore::timing_engine(
 RouterCore::ContextResult RouterCore::route_pass(
     const std::vector<RouteNet>& nets,
     const timing::ContextTimingSpec* timing, std::vector<double>* history,
-    const std::vector<double>* pressure,
-    std::vector<std::uint8_t>* usage_out) {
+    const std::vector<double>* pressure) {
   const std::size_t num_nodes = graph_.num_nodes();
   MCFPGA_CHECK(scratch_nodes_ == num_nodes,
                "route_pass scratch must be graph-node-sized");
@@ -351,8 +351,8 @@ RouterCore::ContextResult RouterCore::route_pass(
   // topology is fixed for the whole negotiation; only switch counts — arc
   // delays — change between iterations, which is exactly the incremental
   // case TimingGraph::analyze() is built for.  The levelized engine is
-  // cached across passes (timing_engine), so negotiation rounds and
-  // closure iterations re-time instead of re-levelizing.
+  // cached across passes (timing_engine), so closure iterations re-time
+  // instead of re-levelizing.
   const bool timing_driven = options_.timing_mode && timing != nullptr;
   timing::ConnectionArcs* conn_arcs = nullptr;
   timing::TimingGraph* sta = nullptr;
@@ -494,17 +494,6 @@ RouterCore::ContextResult RouterCore::route_pass(
 
   if (history != nullptr) {
     history->assign(history_, history_ + num_nodes);
-  }
-  if (usage_out != nullptr) {
-    // Final occupancy is exactly the set of nodes the committed trees
-    // hold; only wire nodes are exportable pressure (pins and pads are
-    // context-local endpoints, not shared fabric).
-    usage_out->assign(num_nodes, 0);
-    for (std::size_t n = 0; n < num_nodes; ++n) {
-      if (occupancy_[n] > 0 && is_wire_[n] != 0) {
-        (*usage_out)[n] = 1;
-      }
-    }
   }
   pressure_of_ = nullptr;
   // On convergence the loop broke at index `iter`; otherwise the loop

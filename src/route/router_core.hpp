@@ -15,13 +15,13 @@
 // NodeState record, so one relaxation touches one cache line of node state
 // instead of five scattered vectors.  The records (and every other
 // graph-sized scratch array) are carved from a common::ScratchArena that a
-// worker can keep alive across contexts, passes, negotiation rounds, and
-// closure iterations — rebuilding a core on a pooled arena reuses the same
-// cache-warm block instead of re-mallocing (see CorePool).  The congestion
-// cost is hoisted out of the relaxation loop into a per-node cache that is
-// rebuilt once per rip-up iteration and patched on the O(tree) occupancy
-// updates, so the inner loop loads exactly one double per neighbor; CSR
-// rows are software-prefetched one hop ahead.
+// worker can keep alive across contexts, passes, interleaved sessions,
+// and closure iterations — rebuilding a core on a pooled arena reuses the
+// same cache-warm block instead of re-mallocing (see CorePool).  The
+// congestion cost is hoisted out of the relaxation loop into a per-node
+// cache that is rebuilt once per rip-up iteration and patched on the
+// O(tree) occupancy updates, so the inner loop loads exactly one double
+// per neighbor; CSR rows are software-prefetched one hop ahead.
 //
 // Queue engines (RouterOptions::queue_mode):
 //   kBinaryHeap — std::push_heap/pop_heap with lazy deletion.  The
@@ -37,13 +37,13 @@
 // Both engines count their traffic (heap pushes/pops, stale pops, nodes
 // expanded) into ContextResult for the bench scoreboard.
 //
-// The engine exposes a resumable per-pass API (route_pass): one call is
-// one full PathFinder negotiation of one context, but a pass can seed
-// cross-context PRESSURE in (a per-node additive present-cost exported by
-// other contexts) and exports its own per-node wire USAGE out — the
-// handshake the cross-context scheduler (route/schedule.hpp) drives in
-// rounds.  route_context is the pressure-free wrapper and remains
-// bit-identical to the historical monolithic entry point.
+// The engine has one per-pass entry point (route_pass): one call is one
+// full PathFinder negotiation of one context.  A pass can seed an
+// additive per-node PRESSURE into its present cost — the delta recompile
+// pins kept trees that way (cache/incremental.cpp); without one the pass
+// is bit-identical to the historical monolithic router.  The interleaved
+// cross-context post-pass (route/schedule.hpp) drives the session API
+// below instead.
 //
 // Timing-driven mode (RouterOptions::timing_mode + a ContextTimingSpec):
 // each context carries its own TimingGraph, re-timed incrementally from
@@ -57,8 +57,9 @@
 // router can trade a longer detour near the source for a shorter critical
 // tail instead of treating every branch point as free.  The levelized
 // ConnectionArcs/TimingGraph pair is cached per spec (content-signature
-// keyed), so closure iterations and negotiation rounds that re-route the
-// same context re-time incrementally instead of re-levelizing the DAG.
+// keyed), so closure iterations and interleaved sessions that re-route
+// the same context re-time incrementally instead of re-levelizing the
+// DAG.
 #pragma once
 
 #include <atomic>
@@ -115,37 +116,22 @@ class RouterCore {
   /// `history` (may be null) carries PathFinder history costs across
   /// passes: when its size matches the graph's node count the negotiation
   /// seeds from it instead of zero, and the final history is written back
-  /// either way — both the closure loop's cross-iteration carry and the
-  /// scheduler's cross-round carry.
+  /// either way — the closure loop's cross-iteration carry, and the seed
+  /// of the interleaved sessions.
   ///
   /// `pressure` (may be null; graph-node-sized) is an additive present
-  /// congestion term per node — the cross-context pressure other contexts
-  /// exported.  Null is bit-identical to all-zeros.
-  ///
-  /// `usage_out` (may be null) receives one byte per graph node: 1 where
-  /// this pass's final routing occupies a WIRE node — the usage this
-  /// context exports as pressure on its peers.
+  /// congestion term per node.  Null is bit-identical to all-zeros.
   ContextResult route_pass(const std::vector<RouteNet>& nets,
                            const timing::ContextTimingSpec* timing,
                            std::vector<double>* history,
-                           const std::vector<double>* pressure,
-                           std::vector<std::uint8_t>* usage_out);
-
-  /// The pressure-free single-shot pass: what routing one independent
-  /// context always was.
-  ContextResult route_context(const std::vector<RouteNet>& nets,
-                              const timing::ContextTimingSpec* timing =
-                                  nullptr,
-                              std::vector<double>* history = nullptr) {
-    return route_pass(nets, timing, history, nullptr, nullptr);
-  }
+                           const std::vector<double>* pressure = nullptr);
 
   // ---- Interleaved-session API (cross_context_mode == kInterleaved) ----
   //
-  // A session adopts one context's CONVERGED routing (the scheduler's
-  // round-0 baseline) and then rips up and re-routes INDIVIDUAL nets
-  // against a live shared pressure array the scheduler owns — commit
-  // granularity instead of round granularity.  Two properties make
+  // A session adopts one context's CONVERGED routing (the independent
+  // baseline) and then rips up and re-routes INDIVIDUAL nets against a
+  // live shared pressure array the scheduler owns — commit granularity
+  // instead of whole-context passes.  Two properties make
   // net-granular negotiation sound without further PathFinder iterations:
   //   * sessions route EXCLUSIVELY — the expansion never enters a node
   //     another net of this context currently occupies — so intra-context
@@ -362,7 +348,7 @@ class RouterCore {
 };
 
 /// Pool of per-worker engine state: one RouterCore per slot, each on its
-/// own ScratchArena, kept alive across routing calls so passes, rounds,
+/// own ScratchArena, kept alive across routing calls so passes, sessions,
 /// and closure iterations reuse warm scratch and cached timing DAGs
 /// instead of re-mallocing and re-levelizing.  prepare() rebuilds a slot's
 /// core only when the graph or options changed (the arena is reused even
@@ -373,7 +359,7 @@ class RouterCore {
 /// checkout()/release() harden that hand-out: a checkout marks the slot
 /// owned (atomically, so concurrent claimants cannot both win) and a
 /// second checkout before release is an MCFPGA_CHECK failure.  The
-/// interleaved scheduler checks out one slot per context for as long as
+/// interleaved post-pass checks out one slot per context for as long as
 /// that context's session is armed, so a second session on the same slot,
 /// or a prepare() that would rebuild the core under it, fails loudly
 /// instead of silently clobbering the session's occupancy maps.  core()
@@ -418,8 +404,8 @@ double bucket_quantum_for(const RouterOptions& options,
 /// Deterministic merge of per-context results into one RouteResult:
 /// switch patterns, summaries (including cross_context_conflicts and the
 /// expansion-engine counters) and net lists assembled in context order,
-/// independent of which worker produced what.  Shared by the independent
-/// Router::route path and the cross-context scheduler.
+/// independent of which worker produced what.  Shared by Router::route's
+/// independent path and the interleaved post-pass.
 RouteResult merge_context_results(
     const arch::RoutingGraph& graph,
     std::vector<RouterCore::ContextResult>&& per_context);

@@ -210,6 +210,12 @@ std::string encode_request(const CompileRequest& request) {
   os << "base " << (request.base_job.empty() ? "-" : request.base_job)
      << '\n';
   const arch::FabricSpec& f = request.fabric;
+  // The fabric line carries one context count; the decoder copies it into
+  // the logic block, so a spec whose two counts differ (which could not
+  // be built anyway) would not round-trip.
+  MCFPGA_REQUIRE(f.logic_block.num_contexts == f.num_contexts,
+                 "logic-block context count must match fabric context "
+                 "count");
   os << "fabric " << f.width << ' ' << f.height << ' ' << f.num_contexts
      << ' ' << f.channel_width << ' ' << f.double_length_tracks << ' '
      << (f.switch_impl == arch::SwitchImpl::kConventional ? "conventional"
@@ -225,9 +231,6 @@ std::string encode_request(const CompileRequest& request) {
   switch (o.router.cross_context_mode) {
     case route::CrossContextMode::kOff:
       os << "off";
-      break;
-    case route::CrossContextMode::kNegotiated:
-      os << "negotiated";
       break;
     case route::CrossContextMode::kInterleaved:
       os << "interleaved";
@@ -279,6 +282,7 @@ CompileRequest decode_request(const std::string& payload) {
     f.width = field(w, "width");
     f.height = field(h, "height");
     f.num_contexts = field(c, "contexts");
+    f.logic_block.num_contexts = f.num_contexts;
     f.channel_width = field(ch, "channel width");
     if (!try_parse_u64(dl, v) ||
         v > std::numeric_limits<std::size_t>::max()) {
@@ -339,8 +343,6 @@ CompileRequest decode_request(const std::string& payload) {
     }
     if (ccm == "off") {
       o.router.cross_context_mode = route::CrossContextMode::kOff;
-    } else if (ccm == "negotiated") {
-      o.router.cross_context_mode = route::CrossContextMode::kNegotiated;
     } else if (ccm == "interleaved") {
       o.router.cross_context_mode = route::CrossContextMode::kInterleaved;
     } else {

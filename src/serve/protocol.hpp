@@ -26,12 +26,12 @@
 //           <auto_size> <ptiming>  fallback_bytes <n>
 //           <rtiming>              <n bytes>
 //           <binary|bucket>        critical_path <double>
-//           <off|negotiated|       bitstream_bytes <n>
-//            interleaved>          <n bytes>
-//           <pthreads> <rthreads>  end
-//   netlist_bytes <n>
-//   <n bytes>                      mcfpga-progress v1
-//   end                            job <name>
+//           <off|interleaved>      bitstream_bytes <n>
+//           <pthreads> <rthreads>  <n bytes>
+//   netlist_bytes <n>              end
+//   <n bytes>
+//   end                            mcfpga-progress v1
+//                                  job <name>
 //                                  stage <name>
 //                                  seconds <double>
 //                                  end
@@ -41,7 +41,9 @@
 // payload line number — the same hardening the canonical text formats got.
 // The options line carries the serving subset of core::CompileOptions
 // (the knobs the determinism contract is tested over); fields not on the
-// wire keep their defaults on the daemon side.
+// wire keep their defaults on the daemon side.  The fabric line's context
+// count sets both FabricSpec::num_contexts and the logic block's
+// num_contexts, which a valid spec keeps equal.
 #pragma once
 
 #include <cstdint>
@@ -112,7 +114,8 @@ struct ProgressEvent {
 
 const char* to_string(CompileReply::Status status);
 
-/// Payload codecs.  Encoders validate names; decoders throw
+/// Payload codecs.  Encoders validate names (and encode_request a fabric
+/// whose logic-block context count differs from its own); decoders throw
 /// InvalidArgument with a payload line number on any malformed input.
 std::string encode_request(const CompileRequest& request);
 CompileRequest decode_request(const std::string& payload);

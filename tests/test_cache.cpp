@@ -610,43 +610,40 @@ TEST(DeltaRecompile, IncrementalProgramStageReusesRowsBitForBit) {
   expect_functionally_correct(inc.design, edited);
 }
 
-TEST(DeltaRecompile, NegotiatedSingleContextEditTakesDeltaPath) {
-  // Negotiated (and interleaved) flows keep their delta path when the
-  // edit stays inside one context: every other context's negotiated trees
-  // match verbatim, so the bargain they struck survives the recompile.
-  const auto nl = unshared_workload();
-  const auto spec = small_spec();
-  for (const auto mode : {route::CrossContextMode::kNegotiated,
-                          route::CrossContextMode::kInterleaved}) {
-    CompileService service;
-    core::CompileOptions opts;
-    opts.router.cross_context_mode = mode;
-    const Compiled base = service.compile(nl, spec, opts);
-
-    netlist::MultiContextNetlist edited = nl;
-    edited.context(0) =
-        workload::retable_edit(nl, pick_lut_node(nl), 7).context(0);
-    const Compiled inc = service.compile_incremental(base, edited, opts);
-    EXPECT_TRUE(inc.design.cache.delta) << inc.design.cache.delta_fallback;
-    EXPECT_GT(inc.design.cache.program_rows_reused, 0u);
-
-    // A truth-table edit keeps every physical net, so the delta design
-    // equals a from-scratch negotiated compile bit for bit.
-    const core::CompiledDesign full = core::compile(edited, spec, opts);
-    expect_same_design(full, inc.design);
-    expect_functionally_correct(inc.design, edited);
-  }
-}
-
-TEST(DeltaRecompile, NegotiatedMultiContextEditFallsBack) {
-  // An edit spanning contexts would silently drop the cross-context
-  // bargain if the delta path re-routed without negotiation, so it takes
-  // the full pipeline with a dedicated fallback reason.
+TEST(DeltaRecompile, InterleavedSingleContextEditTakesDeltaPath) {
+  // Interleaved flows keep their delta path when the edit stays inside
+  // one context: every other context's trees match verbatim, so the
+  // bargain the waves struck survives the recompile.
   const auto nl = unshared_workload();
   const auto spec = small_spec();
   CompileService service;
   core::CompileOptions opts;
-  opts.router.cross_context_mode = route::CrossContextMode::kNegotiated;
+  opts.router.cross_context_mode = route::CrossContextMode::kInterleaved;
+  const Compiled base = service.compile(nl, spec, opts);
+
+  netlist::MultiContextNetlist edited = nl;
+  edited.context(0) =
+      workload::retable_edit(nl, pick_lut_node(nl), 7).context(0);
+  const Compiled inc = service.compile_incremental(base, edited, opts);
+  EXPECT_TRUE(inc.design.cache.delta) << inc.design.cache.delta_fallback;
+  EXPECT_GT(inc.design.cache.program_rows_reused, 0u);
+
+  // A truth-table edit keeps every physical net, so the delta design
+  // equals a from-scratch interleaved compile bit for bit.
+  const core::CompiledDesign full = core::compile(edited, spec, opts);
+  expect_same_design(full, inc.design);
+  expect_functionally_correct(inc.design, edited);
+}
+
+TEST(DeltaRecompile, InterleavedMultiContextEditFallsBack) {
+  // An edit spanning contexts would silently drop the cross-context
+  // bargain if the delta path re-routed without the interleaved pass, so
+  // it takes the full pipeline with a dedicated fallback reason.
+  const auto nl = unshared_workload();
+  const auto spec = small_spec();
+  CompileService service;
+  core::CompileOptions opts;
+  opts.router.cross_context_mode = route::CrossContextMode::kInterleaved;
   const Compiled base = service.compile(nl, spec, opts);
 
   // retable_edit rewrites the node in EVERY context it exists in.

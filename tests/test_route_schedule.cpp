@@ -1,11 +1,12 @@
-// Tests for the cross-context negotiated routing scheduler
-// (route/schedule.hpp) and the surrounding plumbing: off-mode stays
-// bit-identical to routing every context through a RouterCore by hand,
-// on-mode is deterministic for any worker count, negotiation never makes
-// the kept metric worse than independent routing (gated property over
-// random multi-context workloads), stale RouteHistory entries are clamped
-// instead of silently seeding, and the new negotiation/conflict counters
-// are consistent end to end.
+// Tests for the interleaved cross-context post-pass (route/schedule.hpp)
+// and the surrounding plumbing: off-mode stays bit-identical to routing
+// every context through a RouterCore by hand, interleaved mode is
+// deterministic for any worker count, never makes the kept metric worse
+// than independent routing (gated property over random multi-context
+// workloads) and seeds its sessions from the baseline's history whether
+// or not the caller keeps one, stale RouteHistory entries are clamped
+// instead of silently seeding, and the wave/conflict counters are
+// consistent end to end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -116,7 +117,8 @@ TEST(RouteSchedule, OffModeMatchesManualPerContextCores) {
 
   route::RouterCore core(*ctx.graph, ctx.options.router);
   for (std::size_t c = 0; c < ctx.nets_per_context.size(); ++c) {
-    const auto manual = core.route_context(ctx.nets_per_context[c]);
+    const auto manual =
+        core.route_pass(ctx.nets_per_context[c], nullptr, nullptr);
     ASSERT_TRUE(manual.converged);
     ASSERT_EQ(manual.nets.size(), ctx.routing.nets[c].size());
     for (std::size_t i = 0; i < manual.nets.size(); ++i) {
@@ -128,25 +130,23 @@ TEST(RouteSchedule, OffModeMatchesManualPerContextCores) {
       }
     }
   }
-  // Off mode reports no negotiation but still counts conflicts.
-  EXPECT_EQ(ctx.routing.negotiation_rounds, 0u);
+  // Off mode reports no cross-context entries but still counts conflicts.
   EXPECT_TRUE(ctx.routing.negotiation_stats.empty());
   EXPECT_GT(total_conflicts(ctx.routing), 0u);
 }
 
 TEST(RouteSchedule, ZeroPressurePassIsBitIdenticalToPlainPass) {
   // An explicit all-zero pressure vector must not perturb a single cost:
-  // the negotiated baseline round really IS independent routing.
+  // a pressured pass without pressure really IS independent routing.
   FlowContext ctx =
       routed_context(workload::pipeline_workload(4, 8), CompileOptions{});
   const std::vector<double> zero(ctx.graph->num_nodes(), 0.0);
   route::RouterCore plain(*ctx.graph, ctx.options.router);
   route::RouterCore pressured(*ctx.graph, ctx.options.router);
   for (std::size_t c = 0; c < ctx.nets_per_context.size(); ++c) {
-    std::vector<std::uint8_t> usage;
-    const auto a = plain.route_context(ctx.nets_per_context[c]);
+    const auto a = plain.route_pass(ctx.nets_per_context[c], nullptr, nullptr);
     const auto b = pressured.route_pass(ctx.nets_per_context[c], nullptr,
-                                        nullptr, &zero, &usage);
+                                        nullptr, &zero);
     ASSERT_EQ(a.nets.size(), b.nets.size());
     for (std::size_t i = 0; i < a.nets.size(); ++i) {
       ASSERT_EQ(a.nets[i].paths.size(), b.nets[i].paths.size());
@@ -154,98 +154,18 @@ TEST(RouteSchedule, ZeroPressurePassIsBitIdenticalToPlainPass) {
         EXPECT_EQ(a.nets[i].paths[p].edges, b.nets[i].paths[p].edges);
       }
     }
-    // Exported usage marks the distinct wire nodes of the routed trees,
-    // a subset of the per-path edge total.
-    std::size_t used = 0;
-    for (const auto u : usage) {
-      used += u;
-    }
-    EXPECT_GT(used, 0u);
-    EXPECT_LE(used, b.wire_nodes_used);
   }
 }
 
-TEST(RouteSchedule, NegotiatedDeterministicAcrossWorkerCounts) {
-  // On-mode must be a pure function of (options, nets, criticalities,
-  // history): any router worker count yields bit-identical routing and
-  // identical negotiation trajectories (seconds excepted).
-  const auto nl = workload::pipeline_workload(4, 8);
-  CompileOptions base;
-  base.placer.timing_mode = true;
-  base.router.timing_mode = true;
-  base.router.cross_context_mode = route::CrossContextMode::kNegotiated;
-  base.router.num_threads = 1;
-  FlowContext reference = routed_context(nl, base);
-  ASSERT_GE(reference.routing.negotiation_rounds, 1u);
-
-  for (const std::size_t threads : {2u, 4u, 7u}) {
-    CompileOptions options = base;
-    options.router.num_threads = threads;
-    FlowContext ctx = routed_context(nl, options);
-    expect_same_routing(reference.routing, ctx.routing);
-    ASSERT_EQ(ctx.routing.negotiation_stats.size(),
-              reference.routing.negotiation_stats.size());
-    for (std::size_t r = 0; r < ctx.routing.negotiation_stats.size(); ++r) {
-      const auto& a = reference.routing.negotiation_stats[r];
-      const auto& b = ctx.routing.negotiation_stats[r];
-      EXPECT_EQ(a.round, b.round);
-      EXPECT_EQ(a.conflicts, b.conflicts);
-      EXPECT_EQ(a.worst_critical_switches, b.worst_critical_switches);
-      EXPECT_DOUBLE_EQ(a.worst_critical_path, b.worst_critical_path);
-      EXPECT_EQ(a.kept, b.kept);
-    }
-  }
-}
-
-TEST(RouteSchedule, NeverWorseCriticalSwitchesWithoutSpecs) {
-  // Gated property, switch-count metric: without timing specs the
-  // scheduler scores rounds by worst per-connection switch count, and
-  // keep-best (round 0 is the independent baseline) guarantees the
-  // negotiated result never increases it.
-  for (const std::uint64_t seed : {11u, 29u, 47u, 63u}) {
-    FlowContext ctx = routed_context(random_workload(seed), CompileOptions{});
-    route::RouterOptions on = ctx.options.router;
-    on.cross_context_mode = route::CrossContextMode::kNegotiated;
-    const route::Router router(*ctx.graph, on);
-    const route::RouteResult negotiated =
-        router.route(ctx.nets_per_context);
-    ASSERT_TRUE(negotiated.success) << "seed " << seed;
-    // The guarantee is on the PRIMARY metric only: conflicts are the
-    // tiebreak, so a kept round may trade a few more shared wires for a
-    // shorter worst connection.
-    EXPECT_LE(worst_critical_switches(negotiated),
-              worst_critical_switches(ctx.routing))
-        << "seed " << seed;
-  }
-}
-
-TEST(RouteSchedule, NeverWorseCriticalPathOnRandomWorkloads) {
-  // Gated property, STA metric: through the whole compile flow the
-  // negotiated worst context critical path never exceeds independent
-  // routing's (placement is identical — cross-context mode only touches
-  // routing — so the comparison is apples to apples).
-  for (const std::uint64_t seed : {11u, 29u, 47u}) {
-    const auto nl = random_workload(seed);
-    CompileOptions off;
-    off.placer.timing_mode = true;
-    off.router.timing_mode = true;
-    CompileOptions on = off;
-    on.router.cross_context_mode = route::CrossContextMode::kNegotiated;
-    const CompiledDesign d_off = compile(nl, small_spec(), off);
-    const CompiledDesign d_on = compile(nl, small_spec(), on);
-    EXPECT_LE(worst_critical_path(d_on), worst_critical_path(d_off) + 1e-9)
-        << "seed " << seed;
-  }
-}
-
-TEST(RouteSchedule, CriticalityOrdersTheClaimPass) {
-  // Handing explicit per-context criticalities must be accepted and keep
-  // the never-worse guarantee; an inverted priority still cannot beat
-  // the independent baseline on the kept metric.
+TEST(RouteSchedule, ContextCriticalitiesKeepTheNeverWorseGuarantee) {
+  // Explicit per-context criticalities reorder the merged queue and scale
+  // the exported pressure; either priority, even an inverted one, must
+  // keep the never-worse guarantee over the independent baseline on the
+  // kept metric.
   FlowContext ctx =
       routed_context(workload::pipeline_workload(4, 8), CompileOptions{});
   route::RouterOptions on = ctx.options.router;
-  on.cross_context_mode = route::CrossContextMode::kNegotiated;
+  on.cross_context_mode = route::CrossContextMode::kInterleaved;
   const route::Router router(*ctx.graph, on);
   const std::size_t n = ctx.nets_per_context.size();
   for (const bool inverted : {false, true}) {
@@ -255,52 +175,16 @@ TEST(RouteSchedule, CriticalityOrdersTheClaimPass) {
           static_cast<double>(c + 1) / static_cast<double>(n);
       crit[c] = inverted ? 1.0 - rank + 1.0 / static_cast<double>(n) : rank;
     }
-    const route::RouteResult negotiated =
+    const route::RouteResult interleaved =
         router.route(ctx.nets_per_context, nullptr, nullptr, &crit);
-    ASSERT_TRUE(negotiated.success);
-    EXPECT_LE(worst_critical_switches(negotiated),
+    ASSERT_TRUE(interleaved.success);
+    EXPECT_LE(worst_critical_switches(interleaved),
               worst_critical_switches(ctx.routing));
   }
   // Wrong-sized criticality vectors are rejected.
   std::vector<double> bad(n + 1, 1.0);
   EXPECT_THROW(router.route(ctx.nets_per_context, nullptr, nullptr, &bad),
                InvalidArgument);
-}
-
-TEST(RouteSchedule, NegotiationCountersAreConsistent) {
-  // Exactly one round is marked kept, its conflict count matches the
-  // returned summaries, and the counters surface in ContextStats.
-  const auto nl = workload::pipeline_workload(4, 8);
-  CompileOptions on;
-  on.placer.timing_mode = true;
-  on.router.timing_mode = true;
-  on.router.cross_context_mode = route::CrossContextMode::kNegotiated;
-  const CompiledDesign d = compile(nl, small_spec(), on);
-
-  const auto& stats = d.routing.negotiation_stats;
-  ASSERT_EQ(d.routing.negotiation_rounds, stats.size());
-  ASSERT_GE(stats.size(), 1u);
-  std::size_t kept = 0;
-  const route::NegotiationRoundStats* kept_round = nullptr;
-  for (const auto& s : stats) {
-    if (s.kept) {
-      ++kept;
-      kept_round = &s;
-    }
-  }
-  ASSERT_EQ(kept, 1u);
-  EXPECT_EQ(kept_round->conflicts, total_conflicts(d.routing));
-  // ContextStats mirror the routing summaries.
-  std::size_t from_stats = 0;
-  for (const auto& s : d.context_stats) {
-    from_stats += s.cross_context_conflicts;
-  }
-  EXPECT_EQ(from_stats, total_conflicts(d.routing));
-  // The flow routed with timing specs, so rounds carry STA scores.
-  for (const auto& s : stats) {
-    EXPECT_GT(s.worst_critical_path, 0.0);
-    EXPECT_GT(s.worst_critical_switches, 0u);
-  }
 }
 
 TEST(RouteSchedule, HistoryClampedWhenNodeCountChanges) {
@@ -340,16 +224,16 @@ TEST(RouteSchedule, HistoryClampedWhenNodeCountChanges) {
   EXPECT_TRUE(h.per_context[2].empty());
 }
 
-TEST(RouteSchedule, ClosureLoopWithNegotiatedRoutingIsDeterministic) {
+TEST(RouteSchedule, ClosureLoopWithInterleavedRoutingIsDeterministic) {
   // The closure loop hands the previous iteration's per-context
-  // criticalities to the scheduler; the combination must stay
+  // criticalities to the post-pass; the combination must stay
   // deterministic across worker counts and never finish worse than the
-  // negotiated one-shot flow.
+  // interleaved one-shot flow.
   const auto nl = workload::pipeline_workload(4, 8);
   CompileOptions base;
   base.placer.timing_mode = true;
   base.router.timing_mode = true;
-  base.router.cross_context_mode = route::CrossContextMode::kNegotiated;
+  base.router.cross_context_mode = route::CrossContextMode::kInterleaved;
   base.closure_iterations = 3;
   base.router.num_threads = 1;
   const CompiledDesign reference = compile(nl, small_spec(), base);
@@ -372,9 +256,9 @@ TEST(RouteSchedule, ClosureLoopWithNegotiatedRoutingIsDeterministic) {
 TEST(RouteSchedule, InterleavedDeterministicAcrossWorkerCounts) {
   // The merged worklist drains one net at a time in pop order, and the
   // calendar queue's pops are a pure function of its pushes, so any
-  // worker count (which only parallelizes the round-0 baseline) must yield
-  // bit-identical routing and byte-equal per-wave trajectories — work
-  // counters included — over random workloads in both timing modes.
+  // worker count (which only parallelizes the independent baseline) must
+  // yield bit-identical routing and byte-equal per-wave trajectories —
+  // work counters included — over random workloads in both timing modes.
   struct Case {
     const char* name;
     netlist::MultiContextNetlist nl;
@@ -461,9 +345,11 @@ TEST(RouteSchedule, InterleavedNeverWorseCriticalPathOnRandomWorkloads) {
 
 TEST(RouteSchedule, InterleavedWaveCountersAreConsistent) {
   // Exactly one recorded entry (baseline or wave) is kept and its
-  // conflict count matches the returned summaries; the dirty-set
-  // invariant holds (wave k can only re-route nets wave k-1 re-enqueued);
-  // and the per-context churn counters mirror the per-wave totals.
+  // conflict count matches the returned summaries, which ContextStats
+  // mirror; every entry of a timed route carries an STA score; the
+  // dirty-set invariant holds (wave k can only re-route nets wave k-1
+  // re-enqueued); and the per-context churn counters mirror the per-wave
+  // totals.
   const auto nl = workload::pipeline_workload(4, 8);
   CompileOptions on;
   on.placer.timing_mode = true;
@@ -472,7 +358,6 @@ TEST(RouteSchedule, InterleavedWaveCountersAreConsistent) {
   const CompiledDesign d = compile(nl, small_spec(), on);
 
   const auto& stats = d.routing.negotiation_stats;
-  ASSERT_EQ(d.routing.negotiation_rounds, stats.size());
   ASSERT_GE(stats.size(), 2u);  // the baseline plus at least one wave
   std::size_t kept = 0;
   const route::NegotiationRoundStats* kept_entry = nullptr;
@@ -484,6 +369,17 @@ TEST(RouteSchedule, InterleavedWaveCountersAreConsistent) {
   }
   ASSERT_EQ(kept, 1u);
   EXPECT_EQ(kept_entry->conflicts, total_conflicts(d.routing));
+  // ContextStats mirror the routing summaries.
+  std::size_t from_stats = 0;
+  for (const auto& s : d.context_stats) {
+    from_stats += s.cross_context_conflicts;
+  }
+  EXPECT_EQ(from_stats, total_conflicts(d.routing));
+  // The flow routed with timing specs, so every entry carries STA scores.
+  for (const auto& s : stats) {
+    EXPECT_GT(s.worst_critical_path, 0.0);
+    EXPECT_GT(s.worst_critical_switches, 0u);
+  }
 
   // The independent baseline does no interleaved work.
   EXPECT_EQ(stats[0].nets_rerouted, 0u);
@@ -513,37 +409,41 @@ TEST(RouteSchedule, InterleavedWaveCountersAreConsistent) {
   EXPECT_EQ(ctx_requeued, wave_requeued);
 }
 
-TEST(RouteSchedule, InterleavedReducesExpansionsOverRoundBased) {
-  // The commit-granular dirty set should touch far fewer nets than
-  // re-routing whole contexts round after round.  The honest comparison
-  // is TOTAL negotiation work — the per-round/per-wave expansion counters
-  // summed over every recorded entry (baseline included; it is identical
-  // in both modes) — not the kept round's summary counters.
-  FlowContext ctx =
-      routed_context(workload::pipeline_workload(4, 8), CompileOptions{});
-  route::RouterOptions nego = ctx.options.router;
-  nego.cross_context_mode = route::CrossContextMode::kNegotiated;
-  route::RouterOptions inter = nego;
-  inter.cross_context_mode = route::CrossContextMode::kInterleaved;
-  const route::RouteResult r_nego =
-      route::Router(*ctx.graph, nego).route(ctx.nets_per_context);
-  const route::RouteResult r_inter =
-      route::Router(*ctx.graph, inter).route(ctx.nets_per_context);
-  ASSERT_TRUE(r_nego.success);
-  ASSERT_TRUE(r_inter.success);
-  const auto total_expansions = [](const route::RouteResult& r) {
-    std::size_t total = 0;
-    for (const auto& s : r.negotiation_stats) {
-      total += s.nodes_expanded;
+TEST(RouteSchedule, InterleavedSeedsSessionsFromBaselineHistory) {
+  // The sessions price wires with the baseline's final PathFinder history
+  // whether or not the caller keeps a RouteHistory (RouteStage passes
+  // none for one-shot compiles), so routing without one equals routing
+  // with a fresh one.  The post-pass never writes history: what comes
+  // back is exactly what independent routing writes back.  Timed random
+  // workloads are the case where a zero-history seed re-routes
+  // differently.
+  for (const std::uint64_t seed : {11u, 47u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    CompileOptions timed;
+    timed.placer.timing_mode = true;
+    timed.router.timing_mode = true;
+    FlowContext ctx = routed_context(random_workload(seed), timed);
+    route::RouterOptions on = ctx.options.router;
+    on.cross_context_mode = route::CrossContextMode::kInterleaved;
+    const route::Router interleaved(*ctx.graph, on);
+
+    const route::RouteResult without =
+        interleaved.route(ctx.nets_per_context, &ctx.timing_specs);
+    ASSERT_GE(without.negotiation_stats.size(), 2u);  // waves actually ran
+    route::RouteHistory fresh;
+    const route::RouteResult with =
+        interleaved.route(ctx.nets_per_context, &ctx.timing_specs, &fresh);
+    expect_same_routing(without, with);
+
+    route::RouteHistory independent;
+    const route::Router off(*ctx.graph, ctx.options.router);
+    off.route(ctx.nets_per_context, &ctx.timing_specs, &independent);
+    ASSERT_EQ(fresh.per_context.size(), independent.per_context.size());
+    for (std::size_t c = 0; c < fresh.per_context.size(); ++c) {
+      EXPECT_EQ(fresh.per_context[c], independent.per_context[c])
+          << "context " << c;
     }
-    return total;
-  };
-  ASSERT_GE(r_nego.negotiation_stats.size(), 2u);
-  ASSERT_GE(r_inter.negotiation_stats.size(), 2u);
-  EXPECT_LT(total_expansions(r_inter), total_expansions(r_nego));
-  // And not at the cost of the kept metric.
-  EXPECT_LE(worst_critical_switches(r_inter),
-            worst_critical_switches(r_nego));
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Tests for the compile daemon (src/serve/): the session FSM transition
 // table (every event in every state), the wire protocol codecs including
-// strict-numeric rejection with payload line numbers, and the daemon's
-// serving contracts — determinism (daemon replies byte-identical to
-// direct CompileService compiles, repeated and concurrent), cache hits on
+// strict-numeric rejection with payload line numbers and fabrics of any
+// context count, and the daemon's serving contracts — determinism
+// (daemon replies byte-identical to direct CompileService compiles,
+// repeated, concurrent and on an 8-context fabric), cache hits on
 // repeat jobs, per-stage progress streaming, delta recompiles via base
 // jobs, cooperative cancellation, deadline budgets, and clean teardown.
 #include <gtest/gtest.h>
@@ -37,6 +38,15 @@ arch::FabricSpec small_spec() {
 
 netlist::MultiContextNetlist small_workload() {
   return workload::pipeline_workload(4, 8);
+}
+
+/// small_spec() widened to 8 contexts: both context counts move together,
+/// as FabricSpec::validate demands.
+arch::FabricSpec eight_context_spec() {
+  arch::FabricSpec spec = small_spec();
+  spec.num_contexts = 8;
+  spec.logic_block.num_contexts = 8;
+  return spec;
 }
 
 std::size_t pick_lut_node(const netlist::MultiContextNetlist& nl) {
@@ -193,7 +203,7 @@ CompileRequest sample_request() {
   options.placer.timing_mode = true;
   options.router.timing_mode = true;
   options.router.queue_mode = route::QueueMode::kBucket;
-  options.router.cross_context_mode = route::CrossContextMode::kNegotiated;
+  options.router.cross_context_mode = route::CrossContextMode::kInterleaved;
   options.placer.num_threads = 3;
   options.router.num_threads = 2;
   CompileRequest request = ServeClient::make_request(
@@ -234,6 +244,24 @@ TEST(ServeProtocol, RequestRoundTrip) {
   EXPECT_EQ(config::netlist_to_text(
                 config::netlist_from_text(back.netlist_text)),
             request.netlist_text);
+}
+
+TEST(ServeProtocol, EightContextRequestRoundTrips) {
+  // The fabric line carries one context count; decoding must set the
+  // logic block's count from it too, or every non-4-context fabric fails
+  // validation on the daemon side.
+  const CompileRequest request = ServeClient::make_request(
+      "job-8", workload::pipeline_workload(8, 6), eight_context_spec());
+  const CompileRequest back = decode_request(encode_request(request));
+  EXPECT_EQ(back.fabric.num_contexts, 8u);
+  EXPECT_EQ(back.fabric.logic_block.num_contexts, 8u);
+  EXPECT_NO_THROW(back.fabric.validate());
+
+  // A spec whose two counts differ could not be built, and the wire could
+  // not carry it faithfully, so the encoder rejects it.
+  CompileRequest mismatched = request;
+  mismatched.fabric.logic_block.num_contexts = 4;
+  EXPECT_THROW(encode_request(mismatched), InvalidArgument);
 }
 
 TEST(ServeProtocol, ReplyAndProgressRoundTrip) {
@@ -323,7 +351,9 @@ TEST(ServeProtocol, StrictNumericRejection) {
   expect_request_rejected("fabric 4 4", "fabric 0 4", "line 5");
   expect_request_rejected("options 42", "options -42", "line 6");
   expect_request_rejected("bucket", "fifo", "line 6");
-  expect_request_rejected("negotiated", "sideways", "line 6");
+  expect_request_rejected("interleaved", "sideways", "line 6");
+  // The deleted round-based mode is just another unknown token.
+  expect_request_rejected("interleaved", "negotiated", "line 6");
   expect_request_rejected("mcfpga-request v1", "mcfpga-request v2", "line 1");
 }
 
@@ -386,6 +416,23 @@ TEST(CompileDaemon, ReplyMatchesDirectCompileAndRepeatHitsCache) {
   EXPECT_EQ(stats.done, 2u);
   EXPECT_EQ(stats.cancelled, 0u);
   EXPECT_EQ(stats.failed, 0u);
+}
+
+TEST(CompileDaemon, EightContextFabricMatchesDirectCompile) {
+  const auto netlist = workload::pipeline_workload(8, 6);
+  const auto spec = eight_context_spec();
+  const core::CompileOptions options;
+
+  cache::CompileService direct;
+  const std::string want = config::to_text(
+      direct.compile(netlist, spec, options).design.full_bitstream);
+
+  CompileDaemon daemon;
+  ServeClient client(daemon);
+  const ServeClient::Outcome out = client.wait(client.submit(
+      ServeClient::make_request("job-8", netlist, spec, options)));
+  ASSERT_EQ(out.reply.status, CompileReply::Status::kDone) << out.reply.error;
+  EXPECT_EQ(out.reply.bitstream_text, want);
 }
 
 TEST(CompileDaemon, ConcurrentSessionsAreBitIdentical) {
