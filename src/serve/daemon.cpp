@@ -44,12 +44,12 @@ class JobObserver final : public core::StageObserver {
     event.job = session_->request.job;
     event.stage = stage;
     event.seconds = seconds;
-    const std::string frame = progress_frame(event);
+    std::string frame = progress_frame(event);
     const std::lock_guard<std::mutex> lock(daemon_.mu_);
     // Running -> Streaming on the first tick, Streaming self-loop after;
     // a rejected event (the job was finalized under us) drops the frame.
     if (session_->fsm.handle(SessionEvent::kProgress).accepted) {
-      session_->stream.push_back(frame);
+      session_->stream.push_back(std::move(frame));
     }
   }
 
@@ -106,7 +106,7 @@ bool CompileDaemon::cancel(std::uint64_t job_id) {
       session->cancel.store(true, std::memory_order_relaxed);
       CompileReply reply = base_reply(*session);
       reply.status = CompileReply::Status::kCancelled;
-      finalize_locked(session, SessionEvent::kCancel, reply);
+      finalize_locked(session, SessionEvent::kCancel, reply_frame(reply));
       return true;
     }
     case SessionState::kRunning:
@@ -185,7 +185,7 @@ void CompileDaemon::stop() {
           session->cancel.store(true, std::memory_order_relaxed);
           CompileReply reply = base_reply(*session);
           reply.status = CompileReply::Status::kCancelled;
-          finalize_locked(session, SessionEvent::kCancel, reply);
+          finalize_locked(session, SessionEvent::kCancel, reply_frame(reply));
           break;
         }
         case SessionState::kRunning:
@@ -212,7 +212,7 @@ void CompileDaemon::run_job(const std::shared_ptr<Session>& session) {
       CompileReply reply = base_reply(*session);
       reply.status = CompileReply::Status::kFailed;
       reply.error = "deadline exceeded while queued";
-      finalize_locked(session, SessionEvent::kDeadline, reply);
+      finalize_locked(session, SessionEvent::kDeadline, reply_frame(reply));
       return;
     }
     session->fsm.handle(SessionEvent::kStart);
@@ -242,25 +242,26 @@ void CompileDaemon::run_job(const std::shared_ptr<Session>& session) {
     for (const core::ContextStats& cs : compiled.design.context_stats) {
       reply.critical_path = std::max(reply.critical_path, cs.critical_path);
     }
+    // A cache hit's bitstream carries its kept text: a copy, no render.
     reply.bitstream_text = config::to_text(compiled.design.full_bitstream);
     retain_completed(session->request.job, std::move(compiled));
-    finalize(session, SessionEvent::kFinish, std::move(reply));
+    finalize(session, SessionEvent::kFinish, reply_frame(reply));
   } catch (const FlowCancelled& e) {
     CompileReply reply = base_reply(*session);
     const std::lock_guard<std::mutex> lock(mu_);
     if (session->deadline_hit) {
       reply.status = CompileReply::Status::kFailed;
       reply.error = std::string("deadline exceeded: ") + e.what();
-      finalize_locked(session, SessionEvent::kDeadline, reply);
+      finalize_locked(session, SessionEvent::kDeadline, reply_frame(reply));
     } else {
       reply.status = CompileReply::Status::kCancelled;
-      finalize_locked(session, SessionEvent::kCancel, reply);
+      finalize_locked(session, SessionEvent::kCancel, reply_frame(reply));
     }
   } catch (const std::exception& e) {
     CompileReply reply = base_reply(*session);
     reply.status = CompileReply::Status::kFailed;
     reply.error = e.what();
-    finalize(session, SessionEvent::kFail, std::move(reply));
+    finalize(session, SessionEvent::kFail, reply_frame(reply));
   }
   // The parsed input is spent.  Only this worker ever reads it, so it is
   // freed here, outside the lock.
@@ -268,19 +269,18 @@ void CompileDaemon::run_job(const std::shared_ptr<Session>& session) {
 }
 
 void CompileDaemon::finalize(const std::shared_ptr<Session>& session,
-                             SessionEvent event, CompileReply reply) {
+                             SessionEvent event, std::string frame) {
   const std::lock_guard<std::mutex> lock(mu_);
-  finalize_locked(session, event, reply);
+  finalize_locked(session, event, std::move(frame));
 }
 
 void CompileDaemon::finalize_locked(const std::shared_ptr<Session>& session,
-                                    SessionEvent event,
-                                    const CompileReply& reply) {
+                                    SessionEvent event, std::string frame) {
   if (session->reply_ready) {
     return;  // already finalized (cancel/finish race lost)
   }
   session->fsm.handle(event);
-  session->stream.push_back(reply_frame(reply));
+  session->stream.push_back(std::move(frame));
   session->reply_ready = true;
   switch (session->fsm.state()) {
     case SessionState::kDone:

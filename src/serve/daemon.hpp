@@ -14,7 +14,10 @@
 //   - streams one encoded progress frame per finished stage (Progress).
 // Completion fires Finish / Cancel / Deadline / Fail; the reply frame is
 // appended after every progress frame, so a session's frame stream reads
-// progress*, reply.
+// progress*, reply.  The worker builds a finished job's reply frame — a
+// cache hit's bitstream text is the copy its program snapshot keeps —
+// before taking the daemon's lock, which only moves the frame into the
+// stream.
 //
 // Repeat jobs hit the shared FlowCache (bit-identical artifact replay),
 // and recently completed designs are retained — bounded — so later
@@ -130,12 +133,14 @@ class CompileDaemon {
 
  private:
   void run_job(const std::shared_ptr<Session>& session);
+  /// Takes mu_ for finalize_locked.  A job's reply frame, bitstream and
+  /// all, is built by the caller before the lock is taken.
   void finalize(const std::shared_ptr<Session>& session,
-                SessionEvent event, CompileReply reply);
-  /// Requires mu_ held: fires the terminal event, appends the reply
-  /// frame, bumps stats, wakes waiters.  Idempotent under races.
+                SessionEvent event, std::string frame);
+  /// Requires mu_ held: fires the terminal event, moves the reply frame
+  /// into the stream, bumps stats, wakes waiters.  Idempotent under races.
   void finalize_locked(const std::shared_ptr<Session>& session,
-                       SessionEvent event, const CompileReply& reply);
+                       SessionEvent event, std::string frame);
   std::shared_ptr<const cache::Compiled> find_completed(
       const std::string& job) const;
   void retain_completed(const std::string& job, cache::Compiled design);

@@ -1,10 +1,13 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <istream>
 #include <limits>
-#include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -21,13 +24,13 @@ using mcfpga::try_parse_u64;
                         std::to_string(line) + ": " + message);
 }
 
+bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)); }
+
 void require_name(const char* field, const std::string& name) {
   MCFPGA_REQUIRE(!name.empty(), std::string(field) + " must be non-empty");
-  for (const char c : name) {
-    MCFPGA_REQUIRE(!std::isspace(static_cast<unsigned char>(c)),
-                   std::string(field) + " '" + name +
-                       "' must be whitespace-free");
-  }
+  MCFPGA_REQUIRE(std::none_of(name.begin(), name.end(), is_space),
+                 std::string(field) + " '" + name +
+                     "' must be whitespace-free");
 }
 
 /// Shortest round-trippable decimal for a double (%.17g).
@@ -37,122 +40,50 @@ std::string fmt_wire_double(double value) {
   return buf;
 }
 
-/// Line-oriented payload reader: getline with a running line number, plus
-/// counted-blob reads so embedded netlist/bitstream text needs no escaping.
-class PayloadReader {
- public:
-  PayloadReader(const char* what, const std::string& payload)
-      : what_(what), is_(payload) {}
+// --- frame header ------------------------------------------------------------
 
-  std::size_t line_number() const { return line_; }
-  [[noreturn]] void fail(const std::string& message) {
-    payload_fail(what_, line_, message);
-  }
-
-  /// Next line split at the first space into (key, rest).
-  std::pair<std::string, std::string> next_line() {
-    std::string line;
-    if (!std::getline(is_, line)) {
-      fail("unexpected end of payload");
-    }
-    ++line_;
-    const std::size_t space = line.find(' ');
-    if (space == std::string::npos) {
-      return {line, std::string()};
-    }
-    return {line.substr(0, space), line.substr(space + 1)};
-  }
-
-  /// `<key> <u64>` line.
-  std::uint64_t u64_line(const char* key) {
-    const auto [k, rest] = next_line();
-    if (k != key) {
-      fail(std::string("expected '") + key + "', got '" + k + "'");
-    }
-    std::uint64_t value = 0;
-    if (!try_parse_u64(rest, value)) {
-      fail(std::string("invalid ") + key + " '" + rest + "'");
-    }
-    return value;
-  }
-
-  /// `<key> <name>` line; the name must be whitespace-free and non-empty.
-  std::string name_line(const char* key) {
-    const auto [k, rest] = next_line();
-    if (k != key) {
-      fail(std::string("expected '") + key + "', got '" + k + "'");
-    }
-    if (rest.empty() || rest.find(' ') != std::string::npos) {
-      fail(std::string("invalid ") + key + " '" + rest + "'");
-    }
-    return rest;
-  }
-
-  /// `<key>_bytes <n>` line followed by exactly n raw bytes and a newline.
-  std::string blob(const char* key) {
-    const std::uint64_t n = u64_line(key);
-    if (n > std::numeric_limits<std::size_t>::max()) {
-      fail(std::string("oversized ") + key);
-    }
-    std::string bytes(static_cast<std::size_t>(n), '\0');
-    if (n != 0 && !is_.read(bytes.data(), static_cast<std::streamsize>(n))) {
-      fail(std::string("truncated ") + key + " blob");
-    }
-    for (const char c : bytes) {
-      line_ += c == '\n' ? 1 : 0;
-    }
-    if (is_.get() != '\n') {
-      fail(std::string(key) + " blob must end at a line boundary");
-    }
-    ++line_;
-    return bytes;
-  }
-
-  void expect_end() {
-    const auto [k, rest] = next_line();
-    if (k != "end" || !rest.empty()) {
-      fail("expected 'end'");
-    }
-  }
-
- private:
-  const char* what_;
-  std::istringstream is_;
-  std::size_t line_ = 0;
-};
-
-void append_blob(std::ostream& os, const char* key, const std::string& bytes) {
-  os << key << ' ' << bytes.size() << '\n' << bytes << '\n';
-}
-
-}  // namespace
-
-std::string encode_frame(FrameType type, const std::string& payload) {
-  MCFPGA_REQUIRE(payload.size() <=
-                     std::numeric_limits<std::uint32_t>::max(),
-                 "frame payload exceeds the u32 length field");
-  std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
+/// Appends a header whose length field patch_length() fills in.
+void append_header(std::string& out, FrameType type) {
   out.append(kFrameMagic, sizeof(kFrameMagic));
   out.push_back(static_cast<char>(kProtocolVersion));
   out.push_back(static_cast<char>(type));
-  const auto n = static_cast<std::uint32_t>(payload.size());
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((n >> shift) & 0xffu));
-  }
-  out.append(payload);
-  return out;
+  out.append(4, '\0');
 }
 
-Frame decode_frame(std::istream& is) {
-  char header[kFrameHeaderBytes];
-  if (!is.read(header, sizeof(header))) {
-    throw InvalidArgument("frame: truncated header");
+/// Writes the length of everything after the header at `frame`'s front.
+void patch_length(std::string& frame) {
+  const std::size_t size = frame.size() - kFrameHeaderBytes;
+  MCFPGA_REQUIRE(size <= std::numeric_limits<std::uint32_t>::max(),
+                 "frame payload exceeds the u32 length field");
+  const auto n = static_cast<std::uint32_t>(size);
+  for (std::size_t i = 0; i < 4; ++i) {
+    frame[6 + i] = static_cast<char>((n >> (8 * i)) & 0xffu);
   }
-  for (std::size_t i = 0; i < sizeof(kFrameMagic); ++i) {
-    if (header[i] != kFrameMagic[i]) {
-      throw InvalidArgument("frame: bad magic");
-    }
+}
+
+/// Builds a frame in one buffer: the header, the payload `write` appends
+/// after it, then the patched length field.  `payload_bytes` is the
+/// reservation, so a payload no longer than it is never copied.
+template <typename Write>
+std::string make_frame(FrameType type, std::size_t payload_bytes,
+                       Write&& write) {
+  std::string frame;
+  frame.reserve(kFrameHeaderBytes + payload_bytes);
+  append_header(frame, type);
+  write(frame);
+  patch_length(frame);
+  return frame;
+}
+
+struct FrameHeader {
+  FrameType type = FrameType::kRequest;
+  std::uint32_t length = 0;  ///< Declared payload bytes.
+};
+
+/// The one header parser behind both frame decoders.
+FrameHeader parse_header(const char* header) {
+  if (!std::equal(kFrameMagic, kFrameMagic + sizeof(kFrameMagic), header)) {
+    throw InvalidArgument("frame: bad magic");
   }
   if (static_cast<std::uint8_t>(header[4]) != kProtocolVersion) {
     throw InvalidArgument("frame: unsupported protocol version " +
@@ -165,25 +96,328 @@ Frame decode_frame(std::istream& is) {
     throw InvalidArgument("frame: unknown frame type " +
                           std::to_string(static_cast<int>(type)));
   }
-  std::uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(
-                  header[6 + i]))
-              << (8 * i);
+  FrameHeader out;
+  out.type = static_cast<FrameType>(type);
+  for (std::size_t i = 0; i < 4; ++i) {
+    out.length |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(
+                      header[6 + i]))
+                  << (8 * i);
   }
+  return out;
+}
+
+// --- payloads ----------------------------------------------------------------
+
+/// Appends payload lines to one std::string: the frame's own buffer when
+/// a frame is built, so the payload is never copied into it afterwards.
+class PayloadWriter {
+ public:
+  explicit PayloadWriter(std::string& out) : out_(out) {}
+
+  /// Starts a line; its fields follow, each after one space.
+  PayloadWriter& key(std::string_view name) {
+    out_ += name;
+    return *this;
+  }
+  PayloadWriter& field(std::string_view text) {
+    out_ += ' ';
+    out_ += text;
+    return *this;
+  }
+  PayloadWriter& field(std::uint64_t value) {
+    char buf[20];
+    const char* end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+    out_ += ' ';
+    out_.append(buf, static_cast<std::size_t>(end - buf));
+    return *this;
+  }
+  PayloadWriter& real_field(double value) {
+    return field(fmt_wire_double(value));
+  }
+  void end_line() { out_ += '\n'; }
+
+  /// `<key> <n>` line, then exactly n raw bytes and a newline.
+  void blob(std::string_view name, std::string_view bytes) {
+    key(name).field(bytes.size()).end_line();
+    out_ += bytes;
+    out_ += '\n';
+  }
+
+ private:
+  std::string& out_;
+};
+
+std::string_view flag(bool value) { return value ? "1" : "0"; }
+
+/// Reads a payload in place: lines and fields are views into it, and each
+/// blob is copied out once.  It accepts only what PayloadWriter writes —
+/// one space between fields, integers without leading zeros, doubles in
+/// their %.17g form, every line newline-terminated, nothing after `end` —
+/// so a payload that decodes re-encodes to the same bytes.
+class PayloadReader {
+ public:
+  PayloadReader(const char* what, std::string_view payload)
+      : what_(what), rest_(payload) {}
+
+  [[noreturn]] void fail(const std::string& message) const {
+    payload_fail(what_, line_, message);
+  }
+
+  /// The next line, without its newline.
+  std::string_view line() {
+    const std::size_t eol = rest_.find('\n');
+    if (eol == std::string_view::npos) {
+      if (rest_.empty()) {
+        fail("unexpected end of payload");
+      }
+      ++line_;
+      fail("line does not end with a newline");
+    }
+    ++line_;
+    const std::string_view text = rest_.substr(0, eol);
+    rest_.remove_prefix(eol + 1);
+    return text;
+  }
+
+  /// `<key> <rest>` line; returns rest.
+  std::string_view keyed_line(const char* key) {
+    const std::string_view l = line();
+    const std::size_t space = l.find(' ');
+    const std::string_view k = l.substr(0, space);
+    if (k != key) {
+      fail(std::string("expected '") + key + "', got '" + std::string(k) +
+           "'");
+    }
+    return space == std::string_view::npos ? std::string_view()
+                                           : l.substr(space + 1);
+  }
+
+  /// N fields one space apart.  Each field's own parser rejects an empty
+  /// or space-holding token, so the last takes the rest of the line.
+  template <std::size_t N>
+  std::array<std::string_view, N> fields(std::string_view rest,
+                                         const char* key) {
+    std::array<std::string_view, N> out;
+    for (std::size_t i = 0; i + 1 < N; ++i) {
+      const std::size_t space = rest.find(' ');
+      if (space == std::string_view::npos) {
+        fail(std::string(key) + " line needs " + std::to_string(N) +
+             " fields");
+      }
+      out[i] = rest.substr(0, space);
+      rest.remove_prefix(space + 1);
+    }
+    out[N - 1] = rest;
+    return out;
+  }
+
+  /// `<key> <u64>` line.
+  std::uint64_t u64_line(const char* key) {
+    const std::string_view rest = keyed_line(key);
+    std::uint64_t value = 0;
+    if (!parse_u64(rest, value)) {
+      fail(std::string("invalid ") + key + " '" + std::string(rest) + "'");
+    }
+    return value;
+  }
+
+  /// `<key> <name>` line; the name must be whitespace-free and non-empty.
+  std::string name_line(const char* key) {
+    const std::string_view rest = keyed_line(key);
+    if (rest.empty() || std::any_of(rest.begin(), rest.end(), is_space)) {
+      fail(std::string("invalid ") + key + " '" + std::string(rest) + "'");
+    }
+    return std::string(rest);
+  }
+
+  /// `<key>_bytes <n>` line followed by exactly n raw bytes and a newline.
+  std::string blob(const char* key) {
+    const std::uint64_t n = u64_line(key);
+    // Checked against the bytes left before anything is allocated, so a
+    // forged length fails here rather than reserving what it claims.
+    if (n >= rest_.size()) {
+      fail(std::string(key) + " " + std::to_string(n) + " exceeds the " +
+           std::to_string(rest_.size()) + " payload bytes left");
+    }
+    const std::string_view bytes = rest_.substr(0, n);
+    line_ += static_cast<std::size_t>(
+        std::count(bytes.begin(), bytes.end(), '\n'));
+    if (rest_[n] != '\n') {
+      fail(std::string(key) + " blob must end at a line boundary");
+    }
+    ++line_;
+    rest_.remove_prefix(n + 1);
+    return std::string(bytes);
+  }
+
+  /// The `end` line, which must be the payload's last.
+  void expect_end() {
+    if (line() != "end") {
+      fail("expected 'end'");
+    }
+    if (!rest_.empty()) {
+      ++line_;
+      fail(std::to_string(rest_.size()) + " trailing bytes after 'end'");
+    }
+  }
+
+  /// Canonical u64: digits only, no leading zero (except "0" itself).
+  static bool parse_u64(std::string_view token, std::uint64_t& out) {
+    return !(token.size() > 1 && token.front() == '0') &&
+           try_parse_u64(token, out);
+  }
+
+  /// Canonical double: a finite value written exactly as %.17g writes it.
+  static bool parse_double(std::string_view token, double& out) {
+    return try_parse_double(token, out) && fmt_wire_double(out) == token;
+  }
+
+ private:
+  const char* what_;
+  std::string_view rest_;  ///< Not yet read.
+  std::size_t line_ = 0;   ///< Lines read so far.
+};
+
+void write_request(std::string& out, const CompileRequest& request) {
+  require_name("job name", request.job);
+  if (!request.base_job.empty()) {
+    require_name("base job name", request.base_job);
+  }
+  const arch::FabricSpec& f = request.fabric;
+  // The fabric line carries one context count; the decoder copies it into
+  // the logic block, so a spec whose two counts differ (which could not
+  // be built anyway) would not round-trip.
+  MCFPGA_REQUIRE(f.logic_block.num_contexts == f.num_contexts,
+                 "logic-block context count must match fabric context "
+                 "count");
+  PayloadWriter w(out);
+  w.key("mcfpga-request v1").end_line();
+  w.key("job").field(request.job).end_line();
+  w.key("deadline_ms").field(request.deadline_ms).end_line();
+  w.key("base")
+      .field(request.base_job.empty() ? std::string_view("-")
+                                      : std::string_view(request.base_job))
+      .end_line();
+  w.key("fabric")
+      .field(f.width)
+      .field(f.height)
+      .field(f.num_contexts)
+      .field(f.channel_width)
+      .field(f.double_length_tracks)
+      .field(f.switch_impl == arch::SwitchImpl::kConventional ? "conventional"
+                                                              : "rcm")
+      .end_line();
+  const core::CompileOptions& o = request.options;
+  std::string_view cross_context = "off";
+  switch (o.router.cross_context_mode) {
+    case route::CrossContextMode::kOff:
+      cross_context = "off";
+      break;
+    case route::CrossContextMode::kInterleaved:
+      cross_context = "interleaved";
+      break;
+  }
+  w.key("options")
+      .field(o.seed)
+      .field(o.closure_iterations)
+      .field(flag(o.auto_size))
+      .field(flag(o.placer.timing_mode))
+      .field(flag(o.router.timing_mode))
+      .field(o.router.queue_mode == route::QueueMode::kBucket ? "bucket"
+                                                              : "binary")
+      .field(cross_context)
+      .field(o.placer.num_threads)
+      .field(o.router.num_threads)
+      .end_line();
+  w.blob("netlist_bytes", request.netlist_text);
+  w.key("end").end_line();
+}
+
+void write_reply(std::string& out, const CompileReply& reply) {
+  require_name("job name", reply.job);
+  PayloadWriter w(out);
+  w.key("mcfpga-reply v1").end_line();
+  w.key("job").field(reply.job).end_line();
+  w.key("status").field(to_string(reply.status)).end_line();
+  w.blob("error_bytes", reply.error);
+  w.key("hits").field(reply.cache_hits).end_line();
+  w.key("misses").field(reply.cache_misses).end_line();
+  w.key("delta").field(flag(reply.delta)).end_line();
+  w.blob("fallback_bytes", reply.delta_fallback);
+  w.key("critical_path").real_field(reply.critical_path).end_line();
+  w.blob("bitstream_bytes", reply.bitstream_text);
+  w.key("end").end_line();
+}
+
+void write_progress(std::string& out, const ProgressEvent& event) {
+  require_name("job name", event.job);
+  require_name("stage name", event.stage);
+  PayloadWriter w(out);
+  w.key("mcfpga-progress v1").end_line();
+  w.key("job").field(event.job).end_line();
+  w.key("stage").field(event.stage).end_line();
+  w.key("seconds").real_field(event.seconds).end_line();
+  w.key("end").end_line();
+}
+
+// Payload reservations: the blobs plus room for every fixed line.
+std::size_t request_bytes(const CompileRequest& request) {
+  return 512 + request.job.size() + request.base_job.size() +
+         request.netlist_text.size();
+}
+std::size_t reply_bytes(const CompileReply& reply) {
+  return 320 + reply.job.size() + reply.error.size() +
+         reply.delta_fallback.size() + reply.bitstream_text.size();
+}
+std::size_t progress_bytes(const ProgressEvent& event) {
+  return 96 + event.job.size() + event.stage.size();
+}
+
+}  // namespace
+
+std::string encode_frame(FrameType type, std::string_view payload) {
+  return make_frame(type, payload.size(),
+                    [&](std::string& out) { out += payload; });
+}
+
+Frame decode_frame(std::istream& is) {
+  char header[kFrameHeaderBytes];
+  if (!is.read(header, sizeof(header))) {
+    throw InvalidArgument("frame: truncated header");
+  }
+  const FrameHeader h = parse_header(header);
   Frame frame;
-  frame.type = static_cast<FrameType>(type);
-  frame.payload.resize(length);
-  if (length != 0 &&
-      !is.read(frame.payload.data(), static_cast<std::streamsize>(length))) {
-    throw InvalidArgument("frame: payload shorter than declared length");
+  frame.type = h.type;
+  // Grown as the bytes arrive, so a forged length on a short stream fails
+  // without first allocating what it declares.
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  while (frame.payload.size() < h.length) {
+    const std::size_t have = frame.payload.size();
+    const std::size_t n = std::min<std::size_t>(kChunk, h.length - have);
+    frame.payload.resize(have + n);
+    if (!is.read(frame.payload.data() + have,
+                 static_cast<std::streamsize>(n))) {
+      throw InvalidArgument("frame: payload shorter than declared length");
+    }
   }
   return frame;
 }
 
-Frame frame_from_bytes(const std::string& bytes) {
-  std::istringstream is(bytes);
-  return decode_frame(is);
+Frame frame_from_bytes(std::string_view bytes) {
+  if (bytes.size() < kFrameHeaderBytes) {
+    throw InvalidArgument("frame: truncated header");
+  }
+  const FrameHeader h = parse_header(bytes.data());
+  const std::string_view payload = bytes.substr(kFrameHeaderBytes);
+  if (payload.size() < h.length) {
+    throw InvalidArgument("frame: payload shorter than declared length");
+  }
+  if (payload.size() > h.length) {
+    throw InvalidArgument("frame: " +
+                          std::to_string(payload.size() - h.length) +
+                          " trailing bytes after the payload");
+  }
+  return Frame{h.type, std::string(payload)};
 }
 
 const char* to_string(CompileReply::Status status) {
@@ -199,56 +433,16 @@ const char* to_string(CompileReply::Status status) {
 }
 
 std::string encode_request(const CompileRequest& request) {
-  require_name("job name", request.job);
-  if (!request.base_job.empty()) {
-    require_name("base job name", request.base_job);
-  }
-  std::ostringstream os;
-  os << "mcfpga-request v1\n";
-  os << "job " << request.job << '\n';
-  os << "deadline_ms " << request.deadline_ms << '\n';
-  os << "base " << (request.base_job.empty() ? "-" : request.base_job)
-     << '\n';
-  const arch::FabricSpec& f = request.fabric;
-  // The fabric line carries one context count; the decoder copies it into
-  // the logic block, so a spec whose two counts differ (which could not
-  // be built anyway) would not round-trip.
-  MCFPGA_REQUIRE(f.logic_block.num_contexts == f.num_contexts,
-                 "logic-block context count must match fabric context "
-                 "count");
-  os << "fabric " << f.width << ' ' << f.height << ' ' << f.num_contexts
-     << ' ' << f.channel_width << ' ' << f.double_length_tracks << ' '
-     << (f.switch_impl == arch::SwitchImpl::kConventional ? "conventional"
-                                                          : "rcm")
-     << '\n';
-  const core::CompileOptions& o = request.options;
-  os << "options " << o.seed << ' ' << o.closure_iterations << ' '
-     << (o.auto_size ? 1 : 0) << ' ' << (o.placer.timing_mode ? 1 : 0)
-     << ' ' << (o.router.timing_mode ? 1 : 0) << ' '
-     << (o.router.queue_mode == route::QueueMode::kBucket ? "bucket"
-                                                          : "binary")
-     << ' ';
-  switch (o.router.cross_context_mode) {
-    case route::CrossContextMode::kOff:
-      os << "off";
-      break;
-    case route::CrossContextMode::kInterleaved:
-      os << "interleaved";
-      break;
-  }
-  os << ' ' << o.placer.num_threads << ' ' << o.router.num_threads << '\n';
-  append_blob(os, "netlist_bytes", request.netlist_text);
-  os << "end\n";
-  return os.str();
+  std::string out;
+  out.reserve(request_bytes(request));
+  write_request(out, request);
+  return out;
 }
 
-CompileRequest decode_request(const std::string& payload) {
+CompileRequest decode_request(std::string_view payload) {
   PayloadReader r("request", payload);
-  {
-    const auto [k, rest] = r.next_line();
-    if (k != "mcfpga-request" || rest != "v1") {
-      r.fail("expected 'mcfpga-request v1' header");
-    }
+  if (r.line() != "mcfpga-request v1") {
+    r.fail("expected 'mcfpga-request v1' header");
   }
   CompileRequest request;
   request.job = r.name_line("job");
@@ -256,26 +450,16 @@ CompileRequest decode_request(const std::string& payload) {
   const std::string base = r.name_line("base");
   request.base_job = base == "-" ? std::string() : base;
   {
-    const auto [k, rest] = r.next_line();
-    if (k != "fabric") {
-      r.fail("expected 'fabric', got '" + k + "'");
-    }
-    std::istringstream fs(rest);
-    std::string w, h, c, ch, dl, impl;
-    if (!(fs >> w >> h >> c >> ch >> dl >> impl)) {
-      r.fail("fabric line needs 6 fields");
-    }
-    std::string extra;
-    if (fs >> extra) {
-      r.fail("unexpected trailing token '" + extra + "'");
-    }
+    const auto [w, h, c, ch, dl, impl] =
+        r.fields<6>(r.keyed_line("fabric"), "fabric");
     std::uint64_t v = 0;
     arch::FabricSpec& f = request.fabric;
-    const auto field = [&](const std::string& token,
+    const auto field = [&](std::string_view token,
                            const char* what) -> std::size_t {
-      if (!try_parse_u64(token, v) || v == 0 ||
+      if (!PayloadReader::parse_u64(token, v) || v == 0 ||
           v > std::numeric_limits<std::size_t>::max()) {
-        r.fail(std::string("invalid fabric ") + what + " '" + token + "'");
+        r.fail(std::string("invalid fabric ") + what + " '" +
+               std::string(token) + "'");
       }
       return static_cast<std::size_t>(v);
     };
@@ -284,9 +468,10 @@ CompileRequest decode_request(const std::string& payload) {
     f.num_contexts = field(c, "contexts");
     f.logic_block.num_contexts = f.num_contexts;
     f.channel_width = field(ch, "channel width");
-    if (!try_parse_u64(dl, v) ||
+    if (!PayloadReader::parse_u64(dl, v) ||
         v > std::numeric_limits<std::size_t>::max()) {
-      r.fail("invalid fabric double-length tracks '" + dl + "'");
+      r.fail("invalid fabric double-length tracks '" + std::string(dl) +
+             "'");
     }
     f.double_length_tracks = static_cast<std::size_t>(v);
     if (impl == "conventional") {
@@ -294,65 +479,55 @@ CompileRequest decode_request(const std::string& payload) {
     } else if (impl == "rcm") {
       f.switch_impl = arch::SwitchImpl::kRcm;
     } else {
-      r.fail("invalid switch implementation '" + impl + "'");
+      r.fail("invalid switch implementation '" + std::string(impl) + "'");
     }
   }
   {
-    const auto [k, rest] = r.next_line();
-    if (k != "options") {
-      r.fail("expected 'options', got '" + k + "'");
-    }
-    std::istringstream os(rest);
-    std::string seed, closure, auto_size, ptiming, rtiming, queue, ccm,
-        pthreads, rthreads;
-    if (!(os >> seed >> closure >> auto_size >> ptiming >> rtiming >>
-          queue >> ccm >> pthreads >> rthreads)) {
-      r.fail("options line needs 9 fields");
-    }
-    std::string extra;
-    if (os >> extra) {
-      r.fail("unexpected trailing token '" + extra + "'");
-    }
+    const auto [seed, closure, auto_size, ptiming, rtiming, queue, ccm,
+                pthreads, rthreads] =
+        r.fields<9>(r.keyed_line("options"), "options");
     core::CompileOptions& o = request.options;
     std::uint64_t v = 0;
-    if (!try_parse_u64(seed, v)) {
-      r.fail("invalid seed '" + seed + "'");
+    if (!PayloadReader::parse_u64(seed, v)) {
+      r.fail("invalid seed '" + std::string(seed) + "'");
     }
     o.seed = v;
-    if (!try_parse_u64(closure, v) ||
+    if (!PayloadReader::parse_u64(closure, v) ||
         v > std::numeric_limits<std::size_t>::max()) {
-      r.fail("invalid closure iterations '" + closure + "'");
+      r.fail("invalid closure iterations '" + std::string(closure) + "'");
     }
     o.closure_iterations = static_cast<std::size_t>(v);
-    const auto flag = [&](const std::string& token,
-                          const char* what) -> bool {
+    const auto flag_field = [&](std::string_view token,
+                                const char* what) -> bool {
       if (token != "0" && token != "1") {
-        r.fail(std::string("invalid ") + what + " flag '" + token + "'");
+        r.fail(std::string("invalid ") + what + " flag '" +
+               std::string(token) + "'");
       }
       return token == "1";
     };
-    o.auto_size = flag(auto_size, "auto-size");
-    o.placer.timing_mode = flag(ptiming, "placer timing");
-    o.router.timing_mode = flag(rtiming, "router timing");
+    o.auto_size = flag_field(auto_size, "auto-size");
+    o.placer.timing_mode = flag_field(ptiming, "placer timing");
+    o.router.timing_mode = flag_field(rtiming, "router timing");
     if (queue == "binary") {
       o.router.queue_mode = route::QueueMode::kBinaryHeap;
     } else if (queue == "bucket") {
       o.router.queue_mode = route::QueueMode::kBucket;
     } else {
-      r.fail("invalid queue mode '" + queue + "'");
+      r.fail("invalid queue mode '" + std::string(queue) + "'");
     }
     if (ccm == "off") {
       o.router.cross_context_mode = route::CrossContextMode::kOff;
     } else if (ccm == "interleaved") {
       o.router.cross_context_mode = route::CrossContextMode::kInterleaved;
     } else {
-      r.fail("invalid cross-context mode '" + ccm + "'");
+      r.fail("invalid cross-context mode '" + std::string(ccm) + "'");
     }
-    const auto threads = [&](const std::string& token,
+    const auto threads = [&](std::string_view token,
                              const char* what) -> std::size_t {
-      if (!try_parse_u64(token, v) ||
+      if (!PayloadReader::parse_u64(token, v) ||
           v > std::numeric_limits<std::size_t>::max()) {
-        r.fail(std::string("invalid ") + what + " '" + token + "'");
+        r.fail(std::string("invalid ") + what + " '" + std::string(token) +
+               "'");
       }
       return static_cast<std::size_t>(v);
     };
@@ -365,29 +540,16 @@ CompileRequest decode_request(const std::string& payload) {
 }
 
 std::string encode_reply(const CompileReply& reply) {
-  require_name("job name", reply.job);
-  std::ostringstream os;
-  os << "mcfpga-reply v1\n";
-  os << "job " << reply.job << '\n';
-  os << "status " << to_string(reply.status) << '\n';
-  append_blob(os, "error_bytes", reply.error);
-  os << "hits " << reply.cache_hits << '\n';
-  os << "misses " << reply.cache_misses << '\n';
-  os << "delta " << (reply.delta ? 1 : 0) << '\n';
-  append_blob(os, "fallback_bytes", reply.delta_fallback);
-  os << "critical_path " << fmt_wire_double(reply.critical_path) << '\n';
-  append_blob(os, "bitstream_bytes", reply.bitstream_text);
-  os << "end\n";
-  return os.str();
+  std::string out;
+  out.reserve(reply_bytes(reply));
+  write_reply(out, reply);
+  return out;
 }
 
-CompileReply decode_reply(const std::string& payload) {
+CompileReply decode_reply(std::string_view payload) {
   PayloadReader r("reply", payload);
-  {
-    const auto [k, rest] = r.next_line();
-    if (k != "mcfpga-reply" || rest != "v1") {
-      r.fail("expected 'mcfpga-reply v1' header");
-    }
+  if (r.line() != "mcfpga-reply v1") {
+    r.fail("expected 'mcfpga-reply v1' header");
   }
   CompileReply reply;
   reply.job = r.name_line("job");
@@ -411,12 +573,9 @@ CompileReply decode_reply(const std::string& payload) {
   reply.delta = delta == 1;
   reply.delta_fallback = r.blob("fallback_bytes");
   {
-    const auto [k, rest] = r.next_line();
-    if (k != "critical_path") {
-      r.fail("expected 'critical_path', got '" + k + "'");
-    }
-    if (!try_parse_double(rest, reply.critical_path)) {
-      r.fail("invalid critical path '" + rest + "'");
+    const std::string_view rest = r.keyed_line("critical_path");
+    if (!PayloadReader::parse_double(rest, reply.critical_path)) {
+      r.fail("invalid critical path '" + std::string(rest) + "'");
     }
   }
   reply.bitstream_text = r.blob("bitstream_bytes");
@@ -425,35 +584,25 @@ CompileReply decode_reply(const std::string& payload) {
 }
 
 std::string encode_progress(const ProgressEvent& event) {
-  require_name("job name", event.job);
-  require_name("stage name", event.stage);
-  std::ostringstream os;
-  os << "mcfpga-progress v1\n";
-  os << "job " << event.job << '\n';
-  os << "stage " << event.stage << '\n';
-  os << "seconds " << fmt_wire_double(event.seconds) << '\n';
-  os << "end\n";
-  return os.str();
+  std::string out;
+  out.reserve(progress_bytes(event));
+  write_progress(out, event);
+  return out;
 }
 
-ProgressEvent decode_progress(const std::string& payload) {
+ProgressEvent decode_progress(std::string_view payload) {
   PayloadReader r("progress", payload);
-  {
-    const auto [k, rest] = r.next_line();
-    if (k != "mcfpga-progress" || rest != "v1") {
-      r.fail("expected 'mcfpga-progress v1' header");
-    }
+  if (r.line() != "mcfpga-progress v1") {
+    r.fail("expected 'mcfpga-progress v1' header");
   }
   ProgressEvent event;
   event.job = r.name_line("job");
   event.stage = r.name_line("stage");
   {
-    const auto [k, rest] = r.next_line();
-    if (k != "seconds") {
-      r.fail("expected 'seconds', got '" + k + "'");
-    }
-    if (!try_parse_double(rest, event.seconds) || event.seconds < 0.0) {
-      r.fail("invalid seconds '" + rest + "'");
+    const std::string_view rest = r.keyed_line("seconds");
+    if (!PayloadReader::parse_double(rest, event.seconds) ||
+        event.seconds < 0.0) {
+      r.fail("invalid seconds '" + std::string(rest) + "'");
     }
   }
   r.expect_end();
@@ -461,15 +610,18 @@ ProgressEvent decode_progress(const std::string& payload) {
 }
 
 std::string request_frame(const CompileRequest& request) {
-  return encode_frame(FrameType::kRequest, encode_request(request));
+  return make_frame(FrameType::kRequest, request_bytes(request),
+                    [&](std::string& out) { write_request(out, request); });
 }
 
 std::string reply_frame(const CompileReply& reply) {
-  return encode_frame(FrameType::kReply, encode_reply(reply));
+  return make_frame(FrameType::kReply, reply_bytes(reply),
+                    [&](std::string& out) { write_reply(out, reply); });
 }
 
 std::string progress_frame(const ProgressEvent& event) {
-  return encode_frame(FrameType::kProgress, encode_progress(event));
+  return make_frame(FrameType::kProgress, progress_bytes(event),
+                    [&](std::string& out) { write_progress(out, event); });
 }
 
 }  // namespace mcfpga::serve

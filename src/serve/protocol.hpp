@@ -39,6 +39,18 @@
 // All numeric fields go through common/strings' strict parsers, so
 // "12abc", leading '+', and overflowed values are rejected with the
 // payload line number — the same hardening the canonical text formats got.
+// Decoders accept exactly what the encoders write: one space between
+// fields, integers without leading zeros, doubles as %.17g renders them,
+// a newline after every line and nothing after `end` (or after a frame's
+// declared payload).  So a payload or frame that decodes re-encodes to
+// the same bytes.
+//
+// Each message is rendered and copied once.  One std::string writer
+// builds every payload, and the *_frame functions write header and
+// payload into one reserved buffer, then patch the length field.
+// Decoders read the bytes in place (std::string_view): each blob is
+// copied out once, and every declared length — a frame's, a blob's — is
+// checked against the bytes left before anything is allocated.
 // The options line carries the serving subset of core::CompileOptions
 // (the knobs the determinism contract is tested over); fields not on the
 // wire keep their defaults on the daemon side.  The fabric line's context
@@ -49,6 +61,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/fabric_spec.hpp"
@@ -73,12 +86,15 @@ struct Frame {
 
 /// Prepends the 10-byte header.  Throws InvalidArgument when the payload
 /// exceeds the u32 length field.
-std::string encode_frame(FrameType type, const std::string& payload);
+std::string encode_frame(FrameType type, std::string_view payload);
 
-/// Reads exactly one frame; throws InvalidArgument on bad magic, version,
-/// type, or a payload shorter than its declared length.
+/// Reads exactly one frame, leaving the stream after it; throws
+/// InvalidArgument on bad magic, version, type, or a payload shorter than
+/// its declared length.
 Frame decode_frame(std::istream& is);
-Frame frame_from_bytes(const std::string& bytes);
+/// `bytes` must be exactly one frame: the same errors, plus trailing
+/// bytes past the declared payload.
+Frame frame_from_bytes(std::string_view bytes);
 
 /// One compile job as submitted over the wire.
 struct CompileRequest {
@@ -118,13 +134,14 @@ const char* to_string(CompileReply::Status status);
 /// whose logic-block context count differs from its own); decoders throw
 /// InvalidArgument with a payload line number on any malformed input.
 std::string encode_request(const CompileRequest& request);
-CompileRequest decode_request(const std::string& payload);
+CompileRequest decode_request(std::string_view payload);
 std::string encode_reply(const CompileReply& reply);
-CompileReply decode_reply(const std::string& payload);
+CompileReply decode_reply(std::string_view payload);
 std::string encode_progress(const ProgressEvent& event);
-ProgressEvent decode_progress(const std::string& payload);
+ProgressEvent decode_progress(std::string_view payload);
 
-/// Frame-level conveniences (encode payload + wrap / unwrap + decode).
+/// Whole frames, header and payload built in one buffer; the bytes equal
+/// encode_frame(type, encode_*(x)).
 std::string request_frame(const CompileRequest& request);
 std::string reply_frame(const CompileReply& reply);
 std::string progress_frame(const ProgressEvent& event);

@@ -8,7 +8,9 @@
 // jobs, cooperative cancellation, deadline budgets, and clean teardown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -321,6 +323,154 @@ TEST(ServeProtocol, FrameRejectsCorruption) {
     EXPECT_THROW(frame_from_bytes(bad), InvalidArgument);
   }
   EXPECT_THROW(frame_from_bytes(std::string("MCF")), InvalidArgument);
+  // Bytes past the declared payload are rejected, not dropped.
+  EXPECT_THROW(frame_from_bytes(good + "x"), InvalidArgument);
+  EXPECT_THROW(frame_from_bytes(request_frame(sample_request()) + "garbage"),
+               InvalidArgument);
+}
+
+TEST(ServeProtocol, StreamDecoderReadsExactlyOneFrame) {
+  const std::string first = progress_frame(ProgressEvent{"job", "place", 0.5});
+  const std::string second = request_frame(sample_request());
+  std::istringstream is(first + second);
+  EXPECT_EQ(decode_frame(is).type, FrameType::kProgress);
+  const Frame frame = decode_frame(is);
+  ASSERT_EQ(frame.type, FrameType::kRequest);
+  EXPECT_EQ(encode_frame(frame.type, frame.payload), second);
+  EXPECT_THROW(decode_frame(is), InvalidArgument);  // nothing left
+
+  // A length near 4 GiB on a short stream fails once the stream runs dry,
+  // without first allocating what the header declares.
+  std::string forged = first;
+  for (std::size_t i = 6; i < 10; ++i) {
+    forged[i] = static_cast<char>(0xff);
+  }
+  std::istringstream fs(forged);
+  EXPECT_THROW(decode_frame(fs), InvalidArgument);
+}
+
+/// The pinned sample frames below, built field by field (every wire field
+/// set, so a changed default cannot move the bytes).
+CompileReply pinned_reply() {
+  CompileReply reply;
+  reply.job = "job-a";
+  reply.status = CompileReply::Status::kDone;
+  reply.cache_hits = 8;
+  reply.cache_misses = 3;
+  reply.delta = true;
+  reply.delta_fallback = "diff exceeds threshold";
+  reply.critical_path = 12.625;
+  reply.bitstream_text =
+      "mcfpga-bitstream v1\ncontexts 4\nrows 2\n"
+      "sb(0,0).p0 routing-switch 0101\nlb(1,2).out0[7] lut-bit 1111\n";
+  return reply;
+}
+
+CompileRequest pinned_request() {
+  CompileRequest request;
+  request.job = "job-b";
+  request.deadline_ms = 1500;
+  request.base_job = "base-job";
+  request.fabric.width = 4;
+  request.fabric.height = 5;
+  request.fabric.num_contexts = 4;
+  request.fabric.logic_block.num_contexts = 4;
+  request.fabric.channel_width = 10;
+  request.fabric.double_length_tracks = 4;
+  request.fabric.switch_impl = arch::SwitchImpl::kRcm;
+  core::CompileOptions& o = request.options;
+  o.seed = 42;
+  o.closure_iterations = 1;
+  o.auto_size = true;
+  o.placer.timing_mode = true;
+  o.router.timing_mode = false;
+  o.router.queue_mode = route::QueueMode::kBucket;
+  o.router.cross_context_mode = route::CrossContextMode::kInterleaved;
+  o.placer.num_threads = 3;
+  o.router.num_threads = 2;
+  request.netlist_text = "mcfpga-netlist v1\ncontexts 2\n";
+  return request;
+}
+
+TEST(ServeProtocol, FramesMatchPinnedBytes) {
+  // The v1 wire, byte for byte: a header (magic, version, type, u32
+  // little-endian payload length) and the line-oriented payload.
+  const std::string reply =
+      std::string("MCFS\x01\x02\x05\x01\x00\x00", 10) +
+      "mcfpga-reply v1\n"
+      "job job-a\n"
+      "status done\n"
+      "error_bytes 0\n"
+      "\n"
+      "hits 8\n"
+      "misses 3\n"
+      "delta 1\n"
+      "fallback_bytes 22\n"
+      "diff exceeds threshold\n"
+      "critical_path 12.625\n"
+      "bitstream_bytes 98\n"
+      "mcfpga-bitstream v1\n"
+      "contexts 4\n"
+      "rows 2\n"
+      "sb(0,0).p0 routing-switch 0101\n"
+      "lb(1,2).out0[7] lut-bit 1111\n"
+      "\n"
+      "end\n";
+  EXPECT_EQ(reply_frame(pinned_reply()), reply);
+  EXPECT_EQ(encode_frame(FrameType::kReply, encode_reply(pinned_reply())),
+            reply);
+
+  const std::string request =
+      std::string("MCFS\x01\x01\xae\x00\x00\x00", 10) +
+      "mcfpga-request v1\n"
+      "job job-b\n"
+      "deadline_ms 1500\n"
+      "base base-job\n"
+      "fabric 4 5 4 10 4 rcm\n"
+      "options 42 1 1 1 0 bucket interleaved 3 2\n"
+      "netlist_bytes 29\n"
+      "mcfpga-netlist v1\n"
+      "contexts 2\n"
+      "\n"
+      "end\n";
+  EXPECT_EQ(request_frame(pinned_request()), request);
+  EXPECT_EQ(
+      encode_frame(FrameType::kRequest, encode_request(pinned_request())),
+      request);
+
+  const std::string progress =
+      std::string("MCFS\x01\x03\x49\x00\x00\x00", 10) +
+      "mcfpga-progress v1\n"
+      "job job-a\n"
+      "stage route\n"
+      "seconds 0.10000000000000001\n"
+      "end\n";
+  EXPECT_EQ(progress_frame(ProgressEvent{"job-a", "route", 0.1}), progress);
+}
+
+TEST(ServeProtocol, ReplyErrorAfterMultiLineBlobsNamesItsLine) {
+  CompileReply reply = pinned_reply();
+  reply.error = "first\nsecond";  // blobs on several lines each
+  std::string payload = encode_reply(reply);
+  const std::string tail = "\nend\n";
+  ASSERT_EQ(payload.compare(payload.size() - tail.size(), tail.size(), tail),
+            0);
+  // 'end' is the last line: its number is the payload's newline count.
+  // Header, job, status, error_bytes, 2 error lines, hits, misses, delta,
+  // fallback_bytes + 1 line, critical_path, bitstream_bytes + 5 lines,
+  // the blob's closing newline, end: 20.
+  const auto end_line = static_cast<std::size_t>(
+      std::count(payload.begin(), payload.end(), '\n'));
+  ASSERT_EQ(end_line, 20u);
+  payload.replace(payload.size() - 4, 3, "fin");
+  try {
+    decode_reply(payload);
+    FAIL() << "accepted a reply without its 'end' line";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("payload line 20:"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 /// Replaces the first occurrence of `from` in the encoded request payload
@@ -357,14 +507,68 @@ TEST(ServeProtocol, StrictNumericRejection) {
   expect_request_rejected("mcfpga-request v1", "mcfpga-request v2", "line 1");
 }
 
-TEST(ServeProtocol, RequestRejectsTruncatedBlob) {
-  std::string payload = encode_request(sample_request());
-  // Claim more netlist bytes than the payload carries.
-  const std::size_t pos = payload.find("netlist_bytes ");
-  ASSERT_NE(pos, std::string::npos);
+TEST(ServeProtocol, DecodersAcceptOnlyCanonicalPayloads) {
+  // A decoded payload re-encodes to its own bytes, so every form the
+  // encoder never writes is an error, with its line number.
+  expect_request_rejected("deadline_ms 1500", "deadline_ms 01500", "line 3");
+  expect_request_rejected("fabric 4 4", "fabric 4  4", "line 5");
+  expect_request_rejected("fabric 4 4", "fabric  4 4", "line 5");
+  expect_request_rejected("options 42", "options 042", "line 6");
+  expect_request_rejected("job job-a", "job job-a\t", "line 2");
+  expect_request_rejected("netlist_bytes ", "netlist_bytes 0", "line 7");
+
+  const std::string request = encode_request(sample_request());
+  EXPECT_NO_THROW(decode_request(request));
+  EXPECT_THROW(decode_request(request + "x"), InvalidArgument);
+  EXPECT_THROW(decode_request(request + "\n"), InvalidArgument);
+  EXPECT_THROW(decode_request(request.substr(0, request.size() - 1)),
+               InvalidArgument);
+  std::string spaced_end = request;
+  spaced_end.insert(spaced_end.size() - 1, " ");  // "end \n"
+  EXPECT_THROW(decode_request(spaced_end), InvalidArgument);
+
+  const std::string reply = encode_reply(pinned_reply());
+  for (const char* other : {"12.6250", "1.2625e1", "12.625 "}) {
+    std::string bad = reply;
+    const std::size_t at = bad.find("12.625");
+    ASSERT_NE(at, std::string::npos);
+    bad.replace(at, 6, other);
+    EXPECT_THROW(decode_reply(bad), InvalidArgument) << other;
+  }
+}
+
+/// Replaces the `<key> <n>` line of `payload` and expects `decode` to throw
+/// InvalidArgument naming `line_tag`.
+template <typename Decode>
+void expect_blob_rejected(std::string payload, const std::string& key,
+                          const std::string& count,
+                          const std::string& line_tag, Decode&& decode) {
+  const std::size_t pos = payload.find(key + " ");
+  ASSERT_NE(pos, std::string::npos) << key;
   const std::size_t eol = payload.find('\n', pos);
-  payload.replace(pos, eol - pos, "netlist_bytes 999999");
-  EXPECT_THROW(decode_request(payload), InvalidArgument);
+  payload.replace(pos, eol - pos, key + " " + count);
+  try {
+    decode(payload);
+    FAIL() << "accepted " << key << " " << count;
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(line_tag), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ServeProtocol, RequestRejectsTruncatedBlob) {
+  // Claim more blob bytes than the payload carries, up to lengths no
+  // allocation could hold: each is rejected, naming the payload line,
+  // before anything is allocated.
+  const std::string request = encode_request(sample_request());
+  const std::string reply = encode_reply(pinned_reply());
+  for (const char* count :
+       {"999999", "1000000000000", "18446744073709551615"}) {
+    expect_blob_rejected(request, "netlist_bytes", count, "line 7",
+                         [](const std::string& p) { decode_request(p); });
+    expect_blob_rejected(reply, "bitstream_bytes", count, "line 12",
+                         [](const std::string& p) { decode_reply(p); });
+  }
 }
 
 // ---------------------------------------------------------------------------
