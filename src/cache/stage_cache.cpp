@@ -5,7 +5,6 @@
 
 #include "cache/key.hpp"
 #include "common/error.hpp"
-#include "config/serialize.hpp"
 #include "core/timing_build.hpp"
 
 namespace mcfpga::cache {
@@ -102,8 +101,7 @@ struct ProgramData {
 };
 struct ProgramRestored {
   SwitchPatterns switch_patterns;
-  /// Hits share its row storage, and with it the v1 text kept there.
-  config::Bitstream bitstream;
+  config::Bitstream bitstream;  ///< Hits share its row storage.
 };
 /// ids: the program's switch patterns, then one per bitstream row.
 using ProgramArtifact = InternedArtifact<ProgramData, ProgramRestored>;
@@ -215,9 +213,6 @@ std::size_t bytes_of(const ProgramRestored& r) {
   for (const auto& row : r.bitstream.rows()) {
     total += 16 + bytes_of(row.name) + bytes_of(row.pattern.values());
   }
-  if (const std::string* text = r.bitstream.kept_text()) {
-    total += bytes_of(*text);
-  }
   return total;
 }
 
@@ -274,8 +269,6 @@ ProgramRestored materialize(const ProgramData& data, const PatternSet& ids) {
     out.bitstream.add_row(data.rows[r].name, data.rows[r].kind,
                           ids.pattern(num_switches + r));
   }
-  // Rendered once per snapshot: every hit's reply text is this one.
-  config::keep_text(out.bitstream);
   return out;
 }
 

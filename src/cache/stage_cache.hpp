@@ -18,10 +18,7 @@
 // artifact materializes its patterns once into a shared immutable
 // snapshot, and every later hit copies from that snapshot (a program hit
 // shares the snapshot's bitstream rows outright, config::Bitstream being
-// copy-on-write).  A program snapshot also keeps its bitstream's v1 text
-// (config::keep_text), rendered once and charged to the byte bound, so
-// config::to_text on a hit's bitstream copies that text instead of
-// rendering the rows.
+// copy-on-write).
 //
 // Thread safety: the store and interner themselves are not thread-safe,
 // so one mutex guards them.  A hook call holds it only for the map lookup

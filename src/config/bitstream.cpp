@@ -26,27 +26,26 @@ Bitstream::Bitstream(std::size_t num_contexts) : num_contexts_(num_contexts) {
                  "context count must be a power of two in [2, 64]");
 }
 
-Bitstream::Storage& Bitstream::writable() {
+std::vector<BitstreamRow>& Bitstream::writable_rows() {
   // use_count() == 1 is exact here: another owner could only appear by
   // copying *this, which would race with this (non-const) call anyway.
-  if (!storage_) {
-    storage_ = std::make_shared<Storage>();
-  } else if (storage_.use_count() > 1) {
-    storage_ = std::make_shared<Storage>(Storage{storage_->rows, {}});
+  if (!rows_) {
+    rows_ = std::make_shared<std::vector<BitstreamRow>>();
+  } else if (rows_.use_count() > 1) {
+    rows_ = std::make_shared<std::vector<BitstreamRow>>(*rows_);
   } else {
     // use_count() is a relaxed load; the fence orders a former sharer's
     // last reads (before its releasing decrement) before our writes.
     std::atomic_thread_fence(std::memory_order_acquire);
-    std::string().swap(storage_->text);
   }
-  return *storage_;
+  return *rows_;
 }
 
 std::size_t Bitstream::add_row(std::string name, ResourceKind kind,
                                ContextPattern pattern) {
   MCFPGA_REQUIRE(pattern.num_contexts() == num_contexts_,
                  "row context count must match bitstream context count");
-  std::vector<BitstreamRow>& rows = writable().rows;
+  std::vector<BitstreamRow>& rows = writable_rows();
   rows.push_back(BitstreamRow{std::move(name), kind, std::move(pattern)});
   return rows.size() - 1;
 }
@@ -83,13 +82,13 @@ void Bitstream::append(const Bitstream& other) {
     return;
   }
   if (empty()) {
-    storage_ = other.storage_;  // nothing of ours to keep: share theirs
+    rows_ = other.rows_;  // nothing of ours to keep: share theirs
     return;
   }
   // Copy out first: `other` may share (or be) this storage.
-  const std::shared_ptr<const Storage> theirs = other.storage_;
-  std::vector<BitstreamRow>& rows = writable().rows;
-  rows.insert(rows.end(), theirs->rows.begin(), theirs->rows.end());
+  const std::shared_ptr<std::vector<BitstreamRow>> theirs = other.rows_;
+  std::vector<BitstreamRow>& rows = writable_rows();
+  rows.insert(rows.end(), theirs->begin(), theirs->end());
 }
 
 }  // namespace mcfpga::config

@@ -13,15 +13,6 @@
 // storage only when another Bitstream still shares it.  A stage-cache hit
 // therefore hands out a design's bitstream without copying a row.  Shared
 // storage is never mutated, so copies may be read from several threads.
-//
-// The row storage may also carry its canonical v1 text, rendered once by
-// config::keep_text (config/serialize.hpp); config::to_text then returns
-// that text instead of rendering the rows again.  The stage cache keeps
-// the text of each program snapshot it materializes, so every daemon reply
-// for a cached design reuses one render.  Any mutation drops the text: a
-// copy-on-write clone does not inherit it, and an in-place add_row() or
-// append() clears it.  Bitstreams nobody keeps text for (cold compiles,
-// deltas) render on demand.
 #pragma once
 
 #include <cstddef>
@@ -67,17 +58,12 @@ class Bitstream {
 
   const BitstreamRow& row(std::size_t index) const;
   const std::vector<BitstreamRow>& rows() const {
-    return storage_ ? storage_->rows : kNoRows;
+    return rows_ ? *rows_ : kNoRows;
   }
 
   /// True when both bitstreams read the same (non-empty) row storage.
   bool shares_rows_with(const Bitstream& other) const {
-    return storage_ != nullptr && storage_ == other.storage_;
-  }
-
-  /// The v1 text config::keep_text stored with the rows, or null.
-  const std::string* kept_text() const {
-    return storage_ && !storage_->text.empty() ? &storage_->text : nullptr;
+    return rows_ != nullptr && rows_ == other.rows_;
   }
 
   /// Number of rows of a given resource kind.
@@ -90,24 +76,14 @@ class Bitstream {
   void append(const Bitstream& other);
 
  private:
-  friend void keep_text(Bitstream& bitstream);
-
-  struct Storage {
-    std::vector<BitstreamRow> rows;
-    /// v1 text of `rows` (never empty when kept: it has a header), or
-    /// empty when none is kept.
-    std::string text;
-  };
-
-  /// The storage, cloned first (rows only) when another Bitstream shares
-  /// it; its kept text is dropped either way, as the caller will mutate.
-  Storage& writable();
+  /// The row storage, cloned first when another Bitstream shares it.
+  std::vector<BitstreamRow>& writable_rows();
 
   static const std::vector<BitstreamRow> kNoRows;
 
   std::size_t num_contexts_;
-  /// Null until the first row (or kept text); shared between copies.
-  std::shared_ptr<Storage> storage_;
+  /// Null until the first row; shared between copies.
+  std::shared_ptr<std::vector<BitstreamRow>> rows_;
 };
 
 }  // namespace mcfpga::config

@@ -67,25 +67,20 @@ void write_bitstream(std::ostream& os, const Bitstream& bitstream) {
   os << to_text(bitstream);
 }
 
-namespace {
-
-std::string render_text(const Bitstream& bitstream) {
-  // Built in one string rather than through a stream: a full bitstream
-  // has tens of thousands of rows.
+std::string to_text(const Bitstream& bitstream) {
+  // Built in one string rather than through a stream: the daemon encodes
+  // a full bitstream (tens of thousands of rows) into every reply.
   const std::size_t n = bitstream.num_contexts();
   std::string out = std::string(kMagic) + "\ncontexts " + std::to_string(n) +
                     "\nrows " + std::to_string(bitstream.num_rows()) + "\n";
+  std::size_t bytes = out.size();
+  for (const auto& row : bitstream.rows()) {
+    bytes += row.name.size() + 16 + n;
+  }
+  out.reserve(bytes);
   const std::string kinds[] = {to_string(ResourceKind::kRoutingSwitch),
                                to_string(ResourceKind::kLutBit),
                                to_string(ResourceKind::kControlBit)};
-  // The exact size: the buffer is never regrown, and a kept text wastes
-  // no capacity.
-  std::size_t bytes = out.size();
-  for (const auto& row : bitstream.rows()) {
-    const std::string& kind = kinds[static_cast<std::size_t>(row.kind)];
-    bytes += row.name.size() + kind.size() + n + 3;  // 2 spaces, newline
-  }
-  out.reserve(bytes);
   for (const auto& row : bitstream.rows()) {
     out += row.name;
     out += ' ';
@@ -98,20 +93,6 @@ std::string render_text(const Bitstream& bitstream) {
     out += '\n';
   }
   return out;
-}
-
-}  // namespace
-
-std::string to_text(const Bitstream& bitstream) {
-  if (const std::string* kept = bitstream.kept_text()) {
-    return *kept;
-  }
-  return render_text(bitstream);
-}
-
-void keep_text(Bitstream& bitstream) {
-  std::string text = render_text(bitstream);
-  bitstream.writable().text = std::move(text);
 }
 
 Bitstream read_bitstream(std::istream& is) {

@@ -44,15 +44,9 @@
 
 namespace mcfpga::config {
 
-/// Writes the v1 text format.  to_text returns the text kept with the
-/// rows (keep_text) when there is one, and renders the rows otherwise.
+/// Writes the v1 text format.
 void write_bitstream(std::ostream& os, const Bitstream& bitstream);
 std::string to_text(const Bitstream& bitstream);
-
-/// Renders the v1 text once and keeps it with the row storage, where every
-/// Bitstream sharing the rows finds it (config/bitstream.hpp).  Call it
-/// before the rows are shared: on shared rows it clones them first.
-void keep_text(Bitstream& bitstream);
 
 /// Parses the v1 text format; throws InvalidArgument with a line number on
 /// any malformed input.

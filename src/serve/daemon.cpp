@@ -242,7 +242,6 @@ void CompileDaemon::run_job(const std::shared_ptr<Session>& session) {
     for (const core::ContextStats& cs : compiled.design.context_stats) {
       reply.critical_path = std::max(reply.critical_path, cs.critical_path);
     }
-    // A cache hit's bitstream carries its kept text: a copy, no render.
     reply.bitstream_text = config::to_text(compiled.design.full_bitstream);
     retain_completed(session->request.job, std::move(compiled));
     finalize(session, SessionEvent::kFinish, reply_frame(reply));

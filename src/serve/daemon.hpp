@@ -14,8 +14,7 @@
 //   - streams one encoded progress frame per finished stage (Progress).
 // Completion fires Finish / Cancel / Deadline / Fail; the reply frame is
 // appended after every progress frame, so a session's frame stream reads
-// progress*, reply.  The worker builds a finished job's reply frame — a
-// cache hit's bitstream text is the copy its program snapshot keeps —
+// progress*, reply.  The worker renders a finished job's reply frame
 // before taking the daemon's lock, which only moves the frame into the
 // stream.
 //

@@ -5,7 +5,6 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
-#include <istream>
 #include <limits>
 #include <utility>
 
@@ -73,37 +72,6 @@ std::string make_frame(FrameType type, std::size_t payload_bytes,
   write(frame);
   patch_length(frame);
   return frame;
-}
-
-struct FrameHeader {
-  FrameType type = FrameType::kRequest;
-  std::uint32_t length = 0;  ///< Declared payload bytes.
-};
-
-/// The one header parser behind both frame decoders.
-FrameHeader parse_header(const char* header) {
-  if (!std::equal(kFrameMagic, kFrameMagic + sizeof(kFrameMagic), header)) {
-    throw InvalidArgument("frame: bad magic");
-  }
-  if (static_cast<std::uint8_t>(header[4]) != kProtocolVersion) {
-    throw InvalidArgument("frame: unsupported protocol version " +
-                          std::to_string(static_cast<int>(
-                              static_cast<std::uint8_t>(header[4]))));
-  }
-  const auto type = static_cast<std::uint8_t>(header[5]);
-  if (type < static_cast<std::uint8_t>(FrameType::kRequest) ||
-      type > static_cast<std::uint8_t>(FrameType::kProgress)) {
-    throw InvalidArgument("frame: unknown frame type " +
-                          std::to_string(static_cast<int>(type)));
-  }
-  FrameHeader out;
-  out.type = static_cast<FrameType>(type);
-  for (std::size_t i = 0; i < 4; ++i) {
-    out.length |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(
-                      header[6 + i]))
-                  << (8 * i);
-  }
-  return out;
 }
 
 // --- payloads ----------------------------------------------------------------
@@ -380,44 +348,41 @@ std::string encode_frame(FrameType type, std::string_view payload) {
                     [&](std::string& out) { out += payload; });
 }
 
-Frame decode_frame(std::istream& is) {
-  char header[kFrameHeaderBytes];
-  if (!is.read(header, sizeof(header))) {
-    throw InvalidArgument("frame: truncated header");
-  }
-  const FrameHeader h = parse_header(header);
-  Frame frame;
-  frame.type = h.type;
-  // Grown as the bytes arrive, so a forged length on a short stream fails
-  // without first allocating what it declares.
-  constexpr std::size_t kChunk = std::size_t{1} << 16;
-  while (frame.payload.size() < h.length) {
-    const std::size_t have = frame.payload.size();
-    const std::size_t n = std::min<std::size_t>(kChunk, h.length - have);
-    frame.payload.resize(have + n);
-    if (!is.read(frame.payload.data() + have,
-                 static_cast<std::streamsize>(n))) {
-      throw InvalidArgument("frame: payload shorter than declared length");
-    }
-  }
-  return frame;
-}
-
 Frame frame_from_bytes(std::string_view bytes) {
   if (bytes.size() < kFrameHeaderBytes) {
     throw InvalidArgument("frame: truncated header");
   }
-  const FrameHeader h = parse_header(bytes.data());
+  if (!std::equal(kFrameMagic, kFrameMagic + sizeof(kFrameMagic),
+                  bytes.data())) {
+    throw InvalidArgument("frame: bad magic");
+  }
+  const auto version = static_cast<std::uint8_t>(bytes[4]);
+  if (version != kProtocolVersion) {
+    throw InvalidArgument("frame: unsupported protocol version " +
+                          std::to_string(static_cast<int>(version)));
+  }
+  const auto type = static_cast<std::uint8_t>(bytes[5]);
+  if (type < static_cast<std::uint8_t>(FrameType::kRequest) ||
+      type > static_cast<std::uint8_t>(FrameType::kProgress)) {
+    throw InvalidArgument("frame: unknown frame type " +
+                          std::to_string(static_cast<int>(type)));
+  }
+  std::uint32_t length = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    length |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(
+                  bytes[6 + i]))
+              << (8 * i);
+  }
   const std::string_view payload = bytes.substr(kFrameHeaderBytes);
-  if (payload.size() < h.length) {
+  if (payload.size() < length) {
     throw InvalidArgument("frame: payload shorter than declared length");
   }
-  if (payload.size() > h.length) {
+  if (payload.size() > length) {
     throw InvalidArgument("frame: " +
-                          std::to_string(payload.size() - h.length) +
+                          std::to_string(payload.size() - length) +
                           " trailing bytes after the payload");
   }
-  return Frame{h.type, std::string(payload)};
+  return Frame{static_cast<FrameType>(type), std::string(payload)};
 }
 
 const char* to_string(CompileReply::Status status) {

@@ -59,7 +59,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -88,12 +87,9 @@ struct Frame {
 /// exceeds the u32 length field.
 std::string encode_frame(FrameType type, std::string_view payload);
 
-/// Reads exactly one frame, leaving the stream after it; throws
-/// InvalidArgument on bad magic, version, type, or a payload shorter than
-/// its declared length.
-Frame decode_frame(std::istream& is);
-/// `bytes` must be exactly one frame: the same errors, plus trailing
-/// bytes past the declared payload.
+/// `bytes` must be exactly one frame; throws InvalidArgument on bad magic,
+/// version or type, a payload shorter than its declared length, or
+/// trailing bytes past it.
 Frame frame_from_bytes(std::string_view bytes);
 
 /// One compile job as submitted over the wire.

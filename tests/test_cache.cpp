@@ -247,58 +247,6 @@ TEST(StageCache, FullHitBuildsNoGraphAndSharesBitstreamRows) {
             config::to_text(cold.full_bitstream));
 }
 
-/// The v1 text of `bs` rendered from its rows, whatever text it keeps.
-std::string fresh_render(const config::Bitstream& bs) {
-  config::Bitstream copy(bs.num_contexts());
-  for (const config::BitstreamRow& row : bs.rows()) {
-    copy.add_row(row.name, row.kind, row.pattern);
-  }
-  return config::to_text(copy);
-}
-
-TEST(StageCache, ProgramSnapshotRendersItsTextOnce) {
-  const auto nl = four_context_workload();
-  const auto spec = small_spec();
-  FlowCache cache;
-  const core::FlowContext cold = cached_flow(cache, nl, spec);
-  // A cold compile's bitstream keeps no text: it renders on demand.
-  EXPECT_EQ(cold.full_bitstream.kept_text(), nullptr);
-
-  // Hit through timing, so the next flow materializes only the program
-  // snapshot.
-  cached_flow(cache, nl, spec, 7);
-  const std::size_t before = cache.artifacts().bytes();
-  const core::FlowContext first = cached_flow(cache, nl, spec);
-  const std::size_t charged = cache.artifacts().bytes() - before;
-  const core::FlowContext second = cached_flow(cache, nl, spec);
-  EXPECT_EQ(cache.artifacts().bytes(), before + charged);  // charged once
-
-  // Every hit shares the snapshot's one text, equal to a fresh render.
-  const std::string* kept = first.full_bitstream.kept_text();
-  ASSERT_NE(kept, nullptr);
-  EXPECT_EQ(second.full_bitstream.kept_text(), kept);
-  EXPECT_EQ(*kept, fresh_render(first.full_bitstream));
-  EXPECT_EQ(config::to_text(first.full_bitstream),
-            config::to_text(cold.full_bitstream));
-
-  // The snapshot is charged its switch patterns and rows (stage_cache.cpp's
-  // estimate: 32 bytes a 4-context pattern, 32 + size a string) plus the
-  // text.
-  std::size_t rows = 24 + 32 * first.program.switch_patterns.size();
-  for (const config::BitstreamRow& row : first.full_bitstream.rows()) {
-    rows += 16 + (32 + row.name.size()) + 32;
-  }
-  EXPECT_EQ(charged, rows + 32 + kept->size());
-
-  // A copy that adds a row renders its own rows; the hit keeps its text.
-  config::Bitstream edited = first.full_bitstream;
-  edited.add_row("extra", config::ResourceKind::kControlBit,
-                 config::ContextPattern(4, true));
-  EXPECT_EQ(edited.kept_text(), nullptr);
-  EXPECT_EQ(config::to_text(edited), fresh_render(edited));
-  EXPECT_EQ(config::to_text(first.full_bitstream), *kept);
-}
-
 TEST(StageCache, StageAfterAPlaceHitBuildsTheGraphOnDemand) {
   // Publish tech_map..place only, so the next flow hits through place and
   // then runs route (which needs the graph the place hit did not build).

@@ -68,67 +68,6 @@ TEST(Serialize, AllResourceKindsSurvive) {
   EXPECT_EQ(parsed.row(2).kind, ResourceKind::kControlBit);
 }
 
-/// to_text of a bitstream that never kept text: a fresh render of `rows`.
-std::string fresh_render(const Bitstream& bs) {
-  Bitstream copy(bs.num_contexts());
-  for (const BitstreamRow& row : bs.rows()) {
-    copy.add_row(row.name, row.kind, row.pattern);
-  }
-  EXPECT_EQ(copy.kept_text(), nullptr);
-  return to_text(copy);
-}
-
-TEST(Serialize, KeptTextIsSharedByCopiesAndDroppedByWrites) {
-  Bitstream bs = paper_table1_example();
-  EXPECT_EQ(bs.kept_text(), nullptr);  // nothing kept: rendered on demand
-  const std::string rendered = to_text(bs);
-  keep_text(bs);
-  ASSERT_NE(bs.kept_text(), nullptr);
-  EXPECT_EQ(*bs.kept_text(), rendered);
-  EXPECT_EQ(to_text(bs), rendered);
-
-  // A copy shares the rows and the one kept text.
-  Bitstream copy = bs;
-  EXPECT_EQ(copy.kept_text(), bs.kept_text());
-
-  // A copy that writes clones its rows without the text, and renders its
-  // new rows; the original keeps its text.
-  copy.add_row("extra", ResourceKind::kControlBit, ContextPattern(4, true));
-  EXPECT_EQ(copy.kept_text(), nullptr);
-  EXPECT_EQ(to_text(copy), fresh_render(copy));
-  EXPECT_NE(to_text(copy), rendered);
-  ASSERT_NE(bs.kept_text(), nullptr);
-  EXPECT_EQ(to_text(bs), rendered);
-
-  // The sole owner writes in place, which clears the text.
-  ASSERT_FALSE(bs.shares_rows_with(copy));
-  bs.add_row("more", ResourceKind::kLutBit, ContextPattern(4, false));
-  EXPECT_EQ(bs.kept_text(), nullptr);
-  EXPECT_EQ(to_text(bs), fresh_render(bs));
-
-  // append() in place clears it too.
-  keep_text(bs);
-  ASSERT_NE(bs.kept_text(), nullptr);
-  bs.append(copy);
-  EXPECT_EQ(bs.kept_text(), nullptr);
-  EXPECT_EQ(to_text(bs), fresh_render(bs));
-}
-
-TEST(Serialize, KeepTextOnSharedRowsLeavesTheSharerUnchanged) {
-  Bitstream bs = paper_table1_example();
-  const Bitstream sharer = bs;
-  keep_text(bs);  // clones the rows first
-  EXPECT_FALSE(bs.shares_rows_with(sharer));
-  EXPECT_EQ(sharer.kept_text(), nullptr);
-  ASSERT_NE(bs.kept_text(), nullptr);
-  EXPECT_EQ(*bs.kept_text(), to_text(sharer));
-
-  // Appending onto an empty bitstream shares the rows and their text.
-  Bitstream empty(bs.num_contexts());
-  empty.append(bs);
-  EXPECT_EQ(empty.kept_text(), bs.kept_text());
-}
-
 TEST(Serialize, RejectsBadHeader) {
   EXPECT_THROW(from_text("garbage\n"), InvalidArgument);
   EXPECT_THROW(from_text(""), InvalidArgument);

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -327,26 +326,6 @@ TEST(ServeProtocol, FrameRejectsCorruption) {
   EXPECT_THROW(frame_from_bytes(good + "x"), InvalidArgument);
   EXPECT_THROW(frame_from_bytes(request_frame(sample_request()) + "garbage"),
                InvalidArgument);
-}
-
-TEST(ServeProtocol, StreamDecoderReadsExactlyOneFrame) {
-  const std::string first = progress_frame(ProgressEvent{"job", "place", 0.5});
-  const std::string second = request_frame(sample_request());
-  std::istringstream is(first + second);
-  EXPECT_EQ(decode_frame(is).type, FrameType::kProgress);
-  const Frame frame = decode_frame(is);
-  ASSERT_EQ(frame.type, FrameType::kRequest);
-  EXPECT_EQ(encode_frame(frame.type, frame.payload), second);
-  EXPECT_THROW(decode_frame(is), InvalidArgument);  // nothing left
-
-  // A length near 4 GiB on a short stream fails once the stream runs dry,
-  // without first allocating what the header declares.
-  std::string forged = first;
-  for (std::size_t i = 6; i < 10; ++i) {
-    forged[i] = static_cast<char>(0xff);
-  }
-  std::istringstream fs(forged);
-  EXPECT_THROW(decode_frame(fs), InvalidArgument);
 }
 
 /// The pinned sample frames below, built field by field (every wire field
