@@ -73,14 +73,16 @@ std::string to_text(const Bitstream& bitstream) {
   const std::size_t n = bitstream.num_contexts();
   std::string out = std::string(kMagic) + "\ncontexts " + std::to_string(n) +
                     "\nrows " + std::to_string(bitstream.num_rows()) + "\n";
-  std::size_t bytes = out.size();
-  for (const auto& row : bitstream.rows()) {
-    bytes += row.name.size() + 16 + n;
-  }
-  out.reserve(bytes);
   const std::string kinds[] = {to_string(ResourceKind::kRoutingSwitch),
                                to_string(ResourceKind::kLutBit),
                                to_string(ResourceKind::kControlBit)};
+  // The exact size, so the buffer is never regrown (and copied) midway.
+  std::size_t bytes = out.size();
+  for (const auto& row : bitstream.rows()) {
+    const std::string& kind = kinds[static_cast<std::size_t>(row.kind)];
+    bytes += row.name.size() + kind.size() + n + 3;  // 2 spaces, newline
+  }
+  out.reserve(bytes);
   for (const auto& row : bitstream.rows()) {
     out += row.name;
     out += ' ';
