@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -13,6 +14,7 @@
 #include "config/context_id.hpp"
 #include "core/closure.hpp"
 #include "core/timing_build.hpp"
+#include "place/net_index.hpp"
 #include "route/router_core.hpp"
 
 namespace mcfpga::cache {
@@ -99,39 +101,273 @@ bool is_wire(const arch::RoutingGraph& graph, arch::NodeId node) {
   return graph.node(node).kind == arch::NodeKind::kWire;
 }
 
+// --- ECO placement ----------------------------------------------------------
+
+/// One piece of logic a cluster implements: (context, DFG node name).
+using Member = std::pair<std::size_t, std::string>;
+
+/// Each cluster's content identity: the sorted members of the sharing
+/// classes its slots implement.  Node names survive the renumbering of
+/// slots, classes and clusters an edit causes, so identities compare
+/// across compiles.  `Design` is a FlowContext or a CompiledDesign.
+template <class Design>
+std::vector<std::vector<Member>> cluster_identities(const Design& d) {
+  std::vector<std::vector<Member>> ids(d.clusters.size());
+  for (std::size_t k = 0; k < d.clusters.size(); ++k) {
+    for (const std::size_t s : d.clusters[k].slots) {
+      for (const mapping::SlotEntry& e : d.planes.slots[s].entries) {
+        for (const auto& [c, node] : d.sharing.classes[e.use.cls].members) {
+          ids[k].emplace_back(c, d.netlist.context(c).node(node).name);
+        }
+      }
+    }
+    std::sort(ids[k].begin(), ids[k].end());
+  }
+  return ids;
+}
+
+/// ECO placement (incremental placement in the sense of Singh & Brown,
+/// ICCAD 2002): every cluster whose identity survived the edit keeps its
+/// previous site (equal identities pair in index order), and every I/O
+/// terminal whose name survived keeps its pad.  An unmatched cluster
+/// takes the still-free site of the retired previous cluster it shares
+/// the most members with; whatever is left takes the free site (clusters
+/// first, in index order) or free pad (then terminals) with the lowest
+/// placement cost over the terminals already placed, timing weights
+/// included, ties to the lowest cell or pad index.  Any injective
+/// assignment is legal, so the matching decides only how many routed
+/// trees survive.  Requires the fabric of `prev` (the caller gates it).
+place::Placement eco_place(const core::FlowContext& ctx,
+                           const place::PlacementProblem& problem,
+                           const core::CompiledDesign& prev) {
+  const arch::RoutingGraph& graph = *ctx.graph;
+  const std::size_t width = ctx.spec.width;
+  const std::size_t num_clusters = problem.num_clusters;
+  const auto cell_of = [width](const std::pair<std::size_t, std::size_t>& p) {
+    return p.second * width + p.first;
+  };
+  std::vector<std::size_t> cluster_cell(num_clusters, SIZE_MAX);
+  std::vector<std::size_t> io_pad(problem.num_io_terminals, SIZE_MAX);
+  std::vector<std::uint8_t> cell_used(ctx.spec.num_cells(), 0);
+  std::vector<std::uint8_t> pad_used(graph.num_pads(), 0);
+  const auto take_cell = [&](std::size_t k, std::size_t cell) {
+    cluster_cell[k] = cell;
+    cell_used[cell] = 1;
+  };
+
+  // Exact matches keep their sites.
+  const auto now_ids = cluster_identities(ctx);
+  const auto prev_ids = cluster_identities(prev);
+  std::map<std::vector<Member>, std::vector<std::size_t>> prev_by_id;
+  for (std::size_t j = prev_ids.size(); j-- > 0;) {
+    prev_by_id[prev_ids[j]].push_back(j);  // reversed: back() = lowest j
+  }
+  for (std::size_t k = 0; k < num_clusters; ++k) {
+    const auto it = prev_by_id.find(now_ids[k]);
+    if (it != prev_by_id.end() && !it->second.empty()) {
+      take_cell(k, cell_of(prev.placement.cluster_pos[it->second.back()]));
+      it->second.pop_back();
+    }
+  }
+  // Surviving terminals keep their pads.
+  const auto keep_pads = [&](const std::map<std::string, std::size_t>& now,
+                             const std::map<std::string, std::size_t>& was) {
+    for (const auto& [name, t] : now) {
+      const auto it = was.find(name);
+      if (it != was.end()) {
+        io_pad[t] = prev.placement.io_pads[it->second];
+        pad_used[io_pad[t]] = 1;
+      }
+    }
+  };
+  keep_pads(ctx.input_terminals, prev.input_terminals);
+  keep_pads(ctx.output_terminals, prev.output_terminals);
+
+  // Unmatched clusters inherit the site of their closest retired cluster.
+  std::map<Member, std::size_t> retired_owner;
+  for (const auto& [id, retired] : prev_by_id) {
+    for (const std::size_t j : retired) {
+      for (const Member& m : id) {
+        retired_owner.emplace(m, j);
+      }
+    }
+  }
+  for (std::size_t k = 0; k < num_clusters; ++k) {
+    if (cluster_cell[k] != SIZE_MAX) {
+      continue;
+    }
+    std::map<std::size_t, std::size_t> shared;  // retired cluster -> count
+    for (const Member& m : now_ids[k]) {
+      const auto it = retired_owner.find(m);
+      if (it != retired_owner.end() &&
+          cell_used[cell_of(prev.placement.cluster_pos[it->second])] == 0) {
+        ++shared[it->second];
+      }
+    }
+    std::size_t best = SIZE_MAX;
+    std::size_t best_count = 0;
+    for (const auto& [j, count] : shared) {
+      if (count > best_count) {
+        best = j;
+        best_count = count;
+      }
+    }
+    if (best != SIZE_MAX) {
+      take_cell(k, cell_of(prev.placement.cluster_pos[best]));
+    }
+  }
+
+  // The rest go where they add the least cost to the placed terminals.
+  const place::NetIndex index(problem, ctx.options.placer);
+  std::vector<std::int32_t> xs(index.num_terminals(), 0);
+  std::vector<std::int32_t> ys(index.num_terminals(), 0);
+  std::vector<std::uint8_t> placed(index.num_terminals(), 0);
+  const auto set_position = [&](std::size_t t,
+                                std::pair<std::int32_t, std::int32_t> at) {
+    xs[t] = at.first;
+    ys[t] = at.second;
+    placed[t] = 1;
+  };
+  const auto cell_at = [width](std::size_t cell) {
+    return std::pair{static_cast<std::int32_t>(cell % width),
+                     static_cast<std::int32_t>(cell / width)};
+  };
+  const auto pad_at = [&graph](std::size_t p) {
+    const arch::RRNode& node = graph.node(graph.pad(p));
+    return std::pair{node.x, node.y};
+  };
+  for (std::size_t k = 0; k < num_clusters; ++k) {
+    if (cluster_cell[k] != SIZE_MAX) {
+      set_position(k, cell_at(cluster_cell[k]));
+    }
+  }
+  for (std::size_t t = 0; t < io_pad.size(); ++t) {
+    if (io_pad[t] != SIZE_MAX) {
+      set_position(num_clusters + t, pad_at(io_pad[t]));
+    }
+  }
+  // Lowest-cost free slot for terminal t: `used` marks taken slots and
+  // `at(slot)` gives a slot's coordinates.  Each incident net is priced
+  // as its weighted half-perimeter over its placed terminals plus t.
+  struct Span {
+    bool any = false;
+    std::int32_t min_x = 0, max_x = 0, min_y = 0, max_y = 0;
+  };
+  std::vector<Span> spans;
+  const auto best_slot = [&](std::size_t t,
+                             const std::vector<std::uint8_t>& used,
+                             const auto& at) {
+    spans.clear();
+    for (const auto* tn = index.terminal_nets_begin(t);
+         tn != index.terminal_nets_end(t); ++tn) {
+      Span s;
+      for (const std::uint32_t* m = index.net_terms_begin(tn->net);
+           m != index.net_terms_end(tn->net); ++m) {
+        if (*m == t || placed[*m] == 0) {
+          continue;
+        }
+        s.min_x = s.any ? std::min(s.min_x, xs[*m]) : xs[*m];
+        s.max_x = s.any ? std::max(s.max_x, xs[*m]) : xs[*m];
+        s.min_y = s.any ? std::min(s.min_y, ys[*m]) : ys[*m];
+        s.max_y = s.any ? std::max(s.max_y, ys[*m]) : ys[*m];
+        s.any = true;
+      }
+      spans.push_back(s);
+    }
+    std::size_t best = SIZE_MAX;
+    std::int64_t best_cost = 0;
+    for (std::size_t slot = 0; slot < used.size(); ++slot) {
+      if (used[slot] != 0) {
+        continue;
+      }
+      const auto [x, y] = at(slot);
+      std::int64_t cost = 0;
+      std::size_t i = 0;
+      for (const auto* tn = index.terminal_nets_begin(t);
+           tn != index.terminal_nets_end(t); ++tn, ++i) {
+        const Span& s = spans[i];
+        if (s.any) {
+          cost += index.net_weight(tn->net) *
+                  (std::int64_t{std::max(s.max_x, x) - std::min(s.min_x, x)} +
+                   std::int64_t{std::max(s.max_y, y) - std::min(s.min_y, y)});
+        }
+      }
+      if (best == SIZE_MAX || cost < best_cost) {
+        best = slot;
+        best_cost = cost;
+      }
+    }
+    MCFPGA_CHECK(best != SIZE_MAX, "ECO placement ran out of free slots");
+    set_position(t, at(best));
+    return best;
+  };
+  for (std::size_t k = 0; k < num_clusters; ++k) {
+    if (cluster_cell[k] == SIZE_MAX) {
+      take_cell(k, best_slot(k, cell_used, cell_at));
+    }
+  }
+  for (std::size_t t = 0; t < io_pad.size(); ++t) {
+    if (io_pad[t] == SIZE_MAX) {
+      io_pad[t] = best_slot(num_clusters + t, pad_used, pad_at);
+      pad_used[io_pad[t]] = 1;
+    }
+  }
+
+  place::Placement out;
+  out.cluster_pos.reserve(num_clusters);
+  for (const std::size_t cell : cluster_cell) {
+    out.cluster_pos.emplace_back(cell % width, cell / width);
+  }
+  out.io_pads = std::move(io_pad);
+  out.cost = place::placement_cost(problem, graph, out, ctx.options.placer);
+  return out;
+}
+
 // --- incremental ProgramStage -----------------------------------------------
 
-/// Whether cluster k's programming recipe is unchanged between the cached
-/// compile and this one, WITHOUT rebuilding its LUT tables: position,
-/// mode, slot membership, pin assignment, and every slot's plane entries
-/// (fanin classes + truth table + plane set) must match.  Comparing the
-/// recipe is O(slots * entries); rebuilding is O(2^inputs) per entry.
-bool lb_recipe_unchanged(const core::FlowContext& ctx,
-                         const core::CompiledDesign& prev, std::size_t k) {
+/// LB input pin of class `cls` on `cluster`.
+std::size_t pin_of(const core::Cluster& cluster, std::size_t cls) {
+  return static_cast<std::size_t>(
+      std::find(cluster.pin_signals.begin(), cluster.pin_signals.end(), cls) -
+      cluster.pin_signals.begin());
+}
+
+/// Whether new cluster k programs exactly like cached cluster j at the
+/// same site, WITHOUT rebuilding its LUT tables: mode, and per slot its
+/// LB output and every plane entry (plane set, truth table, and the pins
+/// its fanins land on) must match.  Class and slot ids are compared only
+/// through the pins they map to, so a renumbering edit still matches.
+/// Comparing the recipe is O(slots * entries); rebuilding is O(2^inputs)
+/// per entry.
+bool lb_recipe_unchanged(const core::FlowContext& ctx, std::size_t k,
+                         const core::CompiledDesign& prev, std::size_t j) {
   const core::Cluster& now = ctx.clusters[k];
-  const core::Cluster& old = prev.clusters[k];
-  if (ctx.placement.cluster_pos[k] != prev.placement.cluster_pos[k]) {
+  const core::Cluster& old = prev.clusters[j];
+  if (now.mode != old.mode || now.slots.size() != old.slots.size()) {
     return false;
   }
-  if (now.mode != old.mode || now.slots != old.slots ||
-      now.pin_signals != old.pin_signals) {
-    return false;
-  }
-  for (const std::size_t s : now.slots) {
-    if (s >= prev.slot_output.size() || s >= prev.planes.slots.size() ||
-        ctx.slot_output[s] != prev.slot_output[s]) {
+  for (std::size_t i = 0; i < now.slots.size(); ++i) {
+    const std::size_t s = now.slots[i];
+    const std::size_t t = old.slots[i];
+    if (ctx.slot_output[s] != prev.slot_output[t]) {
       return false;
     }
     const auto& a = ctx.planes.slots[s].entries;
-    const auto& b = prev.planes.slots[s].entries;
+    const auto& b = prev.planes.slots[t].entries;
     if (a.size() != b.size()) {
       return false;
     }
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (a[i].planes != b[i].planes ||
-          a[i].use.fanin_classes != b[i].use.fanin_classes ||
-          !(a[i].use.truth_table == b[i].use.truth_table)) {
+    for (std::size_t e = 0; e < a.size(); ++e) {
+      const auto& fa = a[e].use.fanin_classes;
+      const auto& fb = b[e].use.fanin_classes;
+      if (a[e].planes != b[e].planes || fa.size() != fb.size() ||
+          !(a[e].use.truth_table == b[e].use.truth_table)) {
         return false;
+      }
+      for (std::size_t f = 0; f < fa.size(); ++f) {
+        if (pin_of(now, fa[f]) != pin_of(old, fb[f])) {
+          return false;
+        }
       }
     }
   }
@@ -147,11 +383,12 @@ struct ProgramDelta {
 /// ProgramStage with row-level reuse against the cached design.  The full
 /// bitstream is positional — routing rows in SwitchId order, then each
 /// LB's LUT + mode rows in cluster order — so a switch whose pattern
-/// survived the edit, and a cluster whose recipe did, copy their cached
-/// rows verbatim; only changed resources re-derive tables and re-emit
-/// rows.  Produces a bitstream bit-identical to ProgramStage::run.  When
-/// the cached row ledger cannot be aligned (never expected from this
-/// pipeline's gates), falls back to a full reprogram and says so.
+/// survived the edit, and a cluster programmed like the cached cluster
+/// that held its site, copy their cached rows verbatim; only changed
+/// resources re-derive tables and re-emit rows.  Produces a bitstream
+/// bit-identical to ProgramStage::run.  When the cached row ledger cannot
+/// be aligned (never expected from this pipeline's gates), falls back to
+/// a full reprogram and says so.
 ProgramDelta run_program_incremental(core::FlowContext& ctx,
                                      const core::CompiledDesign& prev) {
   ProgramDelta out;
@@ -168,10 +405,32 @@ ProgramDelta run_program_incremental(core::FlowContext& ctx,
     return out;
   };
 
-  if (prev.program.lbs.size() != ctx.clusters.size() ||
+  if (prev.program.lbs.size() != prev.clusters.size() ||
       prev.routing.switch_patterns.size() != num_switches ||
       pb.num_contexts() != n || pb.num_rows() < num_switches) {
     return full_reprogram();
+  }
+  // Cached cluster j's rows start at block[j]: LB blocks follow the
+  // routing rows in cluster order, each sized by its cached LbConfig.
+  std::vector<std::size_t> block(prev.clusters.size() + 1, num_switches);
+  for (std::size_t j = 0; j < prev.clusters.size(); ++j) {
+    const sim::LbConfig& cached = prev.program.lbs[j];
+    std::size_t rows = config::num_id_bits(n);
+    for (const auto& o : cached.outputs) {
+      if (o.used) {
+        rows += std::size_t{1} << cached.mode.inputs;
+      }
+    }
+    block[j + 1] = block[j] + rows;
+  }
+  if (block.back() != pb.num_rows()) {
+    return full_reprogram();
+  }
+  // Cached cluster per site (the fabric is the cached one: gated).
+  std::vector<std::size_t> prev_at_cell(ctx.spec.num_cells(), SIZE_MAX);
+  for (std::size_t j = 0; j < prev.clusters.size(); ++j) {
+    const auto [x, y] = prev.placement.cluster_pos[j];
+    prev_at_cell[y * ctx.spec.width + x] = j;
   }
 
   ctx.program.switch_patterns = ctx.routing.switch_patterns;
@@ -189,37 +448,23 @@ ProgramDelta run_program_incremental(core::FlowContext& ctx,
     }
   }
 
-  // LB rows: walk the cached bitstream cluster by cluster (each cluster's
-  // cached row count follows from its cached LbConfig), reusing the whole
-  // row block when the recipe is untouched.
-  std::size_t cursor = num_switches;
+  // LB rows: a cluster programmed like the cached cluster at its site
+  // copies that cluster's whole row block.
   for (std::size_t k = 0; k < ctx.clusters.size(); ++k) {
-    const sim::LbConfig& cached = prev.program.lbs[k];
-    std::size_t cached_rows = config::num_id_bits(n);
-    for (const auto& o : cached.outputs) {
-      if (o.used) {
-        cached_rows += std::size_t{1} << cached.mode.inputs;
-      }
-    }
-    if (cursor + cached_rows > pb.num_rows()) {
-      return full_reprogram();
-    }
-    if (lb_recipe_unchanged(ctx, prev, k)) {
-      for (std::size_t r = 0; r < cached_rows; ++r) {
-        const config::BitstreamRow& row = pb.row(cursor + r);
+    const auto [x, y] = ctx.placement.cluster_pos[k];
+    const std::size_t j = prev_at_cell[y * ctx.spec.width + x];
+    if (j != SIZE_MAX && lb_recipe_unchanged(ctx, k, prev, j)) {
+      for (std::size_t r = block[j]; r < block[j + 1]; ++r) {
+        const config::BitstreamRow& row = pb.row(r);
         bs.add_row(row.name, row.kind, row.pattern);
       }
-      out.rows_reused += cached_rows;
-      ctx.program.lbs.push_back(cached);
+      out.rows_reused += block[j + 1] - block[j];
+      ctx.program.lbs.push_back(prev.program.lbs[j]);
     } else {
       sim::LbConfig cfg = core::build_lb_config(ctx, k);
       out.rows_reprogrammed += core::append_lb_rows(bs, cfg, n);
       ctx.program.lbs.push_back(std::move(cfg));
     }
-    cursor += cached_rows;
-  }
-  if (cursor != pb.num_rows()) {
-    return full_reprogram();
   }
 
   for (const auto& [name, term] : ctx.input_terminals) {
@@ -375,7 +620,8 @@ Compiled CompileService::compile_incremental(
   ctx.cache = nullptr;
   ctx.cache_key_valid = false;
 
-  // --- compatibility gates: the previous physical world must still fit --
+  // --- compatibility gate: the previous physical world must still fit ---
+  // (a cluster or terminal that does not fit grows the fabric)
   observe_start(observer, "place");
   const Clock::time_point place_start = Clock::now();
   core::size_fabric_and_build_graph(ctx);
@@ -383,39 +629,26 @@ Compiled CompileService::compile_incremental(
       ctx.spec.height != previous.design.fabric.height) {
     return fallback(previous, edited, options, "fabric resized", observer);
   }
-  if (ctx.clusters.size() != previous.design.placement.cluster_pos.size()) {
-    return fallback(previous, edited, options, "cluster count changed",
-                    observer);
-  }
-  if (ctx.num_terminals != previous.design.placement.io_pads.size()) {
-    return fallback(previous, edited, options, "terminal count changed",
-                    observer);
-  }
 
-  // --- placement: verbatim reuse or warm-start refine ---------------------
+  // --- placement: verbatim reuse or ECO placement -------------------------
+  // Both skip the whole cold anneal.  Placement is a pure function of the
+  // problem, so reusing it for an unchanged problem keeps the design
+  // bit-identical to a from-scratch compile.
   auto [build, problem_hash] = effective_placement_problem(ctx);
+  // The cold anneal's budget, with place::place's default sweep length.
   const std::size_t moves_per_sweep =
       options.placer.moves_per_sweep != 0
           ? options.placer.moves_per_sweep
-          : 16 * (ctx.clusters.size() + ctx.num_terminals);
-  const std::size_t cold_moves =
+          : 16 * (ctx.clusters.size() + ctx.num_terminals + 1);
+  const std::size_t moves_saved =
       options.placer.sweeps * moves_per_sweep *
       std::max<std::size_t>(1, options.placer.num_restarts);
-  std::size_t moves_saved = 0;
-  if (problem_hash == previous.placement_problem_hash) {
+  if (problem_hash == previous.placement_problem_hash &&
+      ctx.clusters.size() == previous.design.clusters.size() &&
+      ctx.num_terminals == previous.design.placement.io_pads.size()) {
     ctx.placement = previous.design.placement;
-    moves_saved = cold_moves;
   } else {
-    place::PlacerOptions warm = options.placer;
-    warm.seed = core::resolved_placer_seed(options);
-    warm.initial_temperature_factor *= options_.warm_temperature_scale;
-    warm.sweeps = std::max<std::size_t>(
-        1, options.placer.sweeps / options_.warm_sweep_divisor);
-    warm.num_restarts = 1;  // the warm start replaces restart diversity
-    ctx.placement = place::place(build.problem, *ctx.graph, warm,
-                                 &previous.design.placement);
-    moves_saved = cold_moves - std::min(cold_moves,
-                                        warm.sweeps * moves_per_sweep);
+    ctx.placement = eco_place(ctx, build.problem, previous.design);
   }
   push_timing(ctx, "place", place_start);
   observe_done(observer, "place", place_start);

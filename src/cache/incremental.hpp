@@ -5,16 +5,21 @@
 // lookup and recompiling an edited one reuses the unchanged pipeline
 // prefix.  compile_incremental() is the delta path for small edits: it
 // diffs the previous and edited netlists, re-runs only the cheap front-end
-// (techmap/sharing/planes/cluster), reuses the previous placement — either
-// verbatim, when the placement problem is unchanged, or as the warm start
-// of a short reduced-temperature anneal — and rips up and re-routes only
-// the nets whose physical endpoints changed, pinning every kept net's
-// wires with a prohibitive congestion pressure so the partial route
-// composes with the kept trees (RouterCore::route_pass).  Any condition
-// the delta path cannot honor (big diff, changed options, resized fabric,
-// closure flows, multi-context edits of an interleaved flow,
-// non-convergence, wire overlap) falls back to a full — still cached —
-// recompile, recorded in CacheStats::delta_fallback.
+// (techmap/sharing/planes/cluster), and places incrementally.  When the
+// placement problem is unchanged it reuses the previous placement
+// verbatim.  Otherwise it runs an ECO placement: every cluster whose
+// content (the (context, node name) members of its sharing classes)
+// survived keeps its site and every surviving I/O terminal keeps its pad,
+// and only the rest are placed into the sites and pads left free.  It then
+// rips up and re-routes only the nets whose physical endpoints changed,
+// pinning every kept net's wires with a prohibitive congestion pressure
+// so the partial route composes with the kept trees
+// (RouterCore::route_pass), and reprograms only the bitstream rows of
+// changed switches and clusters.  Any condition the delta path cannot
+// honor (big diff, changed options, a design that no longer fits the
+// fabric, closure flows, multi-context edits of an interleaved flow, too
+// many invalidated nets, non-convergence, wire overlap) falls back to a
+// full — still cached — recompile, recorded in CacheStats::delta_fallback.
 //
 // The delta path is single-threaded by construction, so its results are
 // deterministic for any worker-count setting; the full path inherits the
@@ -32,6 +37,8 @@
 
 namespace mcfpga::cache {
 
+/// Delta-path policy.  Placement has no knobs: ECO placement is a
+/// deterministic matching, not an anneal.
 struct IncrementalOptions {
   /// Bounds of the artifact store.
   ArtifactCache::Limits limits{};
@@ -39,16 +46,12 @@ struct IncrementalOptions {
   /// nodes changed (union over contexts).
   double max_diff_fraction = 0.25;
   /// Fall back when more than this fraction of route nets lost their
-  /// previous trees (the partial route would do most of a full route).
+  /// previous trees after ECO placement (the partial route would do most
+  /// of a full route).
   double max_invalidated_fraction = 0.6;
   /// Additive present-congestion cost pinned onto every wire node a kept
   /// net occupies, so re-routed nets detour around the kept trees.
   double keep_pressure = 1e6;
-  /// Warm-start anneal policy when the placement problem changed: the
-  /// previous placement is perturbed at temperature scale
-  /// `warm_temperature_scale` for sweeps / `warm_sweep_divisor` sweeps.
-  double warm_temperature_scale = 0.02;
-  std::size_t warm_sweep_divisor = 8;
 };
 
 /// Node-level difference between two multi-context netlists.
@@ -79,7 +82,9 @@ struct Compiled {
   core::CompileOptions options;
   core::CompiledDesign design;
   /// Content hash of the placement problem (nets, weights, criticality);
-  /// equality lets compile_incremental reuse the placement verbatim.
+  /// equality (with equal cluster and terminal counts) lets
+  /// compile_incremental reuse the placement verbatim instead of running
+  /// ECO placement.
   std::uint64_t placement_problem_hash = 0;
 };
 

@@ -264,8 +264,14 @@ netlist::MultiContextNetlist read_netlist(std::istream& is) {
     }
   }
 
-  netlist::MultiContextNetlist result(num_contexts);
+  // Contexts are built as their lines arrive: the count is client text,
+  // so nothing is sized by it before the lines back it up.
+  std::vector<netlist::Dfg> contexts;
   for (std::size_t c = 0; c < num_contexts; ++c) {
+    if (is.peek() == std::istream::traits_type::eof()) {
+      nfail(2, "declares " + std::to_string(num_contexts) +
+                   " contexts but " + std::to_string(c) + " follow");
+    }
     {
       std::istringstream ls = expect_line(is, line_no, "context");
       const std::size_t got =
@@ -281,7 +287,7 @@ netlist::MultiContextNetlist read_netlist(std::istream& is) {
       num_nodes = parse_count(ls, "node count", line_no, nfail);
       expect_line_end(ls, line_no, nfail);
     }
-    netlist::Dfg& dfg = result.context(c);
+    netlist::Dfg& dfg = contexts.emplace_back();
     for (std::size_t i = 0; i < num_nodes; ++i) {
       ++line_no;
       if (!std::getline(is, line)) {
@@ -361,7 +367,7 @@ netlist::MultiContextNetlist read_netlist(std::istream& is) {
       dfg.mark_output(static_cast<netlist::NodeRef>(node), std::move(name));
     }
   }
-  return result;
+  return netlist::MultiContextNetlist(std::move(contexts));
 }
 
 netlist::MultiContextNetlist netlist_from_text(const std::string& text) {

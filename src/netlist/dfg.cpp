@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -104,6 +105,11 @@ void Dfg::validate() const {
 MultiContextNetlist::MultiContextNetlist(std::size_t num_contexts)
     : contexts_(num_contexts) {
   MCFPGA_REQUIRE(num_contexts >= 1, "need at least one context");
+}
+
+MultiContextNetlist::MultiContextNetlist(std::vector<Dfg> contexts)
+    : contexts_(std::move(contexts)) {
+  MCFPGA_REQUIRE(!contexts_.empty(), "need at least one context");
 }
 
 Dfg& MultiContextNetlist::context(std::size_t c) {

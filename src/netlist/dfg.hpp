@@ -76,6 +76,8 @@ class MultiContextNetlist {
   /// Default: a single empty context (placeholder for later assignment).
   MultiContextNetlist() : contexts_(1) {}
   explicit MultiContextNetlist(std::size_t num_contexts);
+  /// Takes ownership of already-built contexts (at least one).
+  explicit MultiContextNetlist(std::vector<Dfg> contexts);
 
   std::size_t num_contexts() const { return contexts_.size(); }
   Dfg& context(std::size_t c);

@@ -149,6 +149,73 @@ std::size_t pick_lut_node(const netlist::MultiContextNetlist& nl,
   return 0;
 }
 
+/// The front end (tech map through clustering) of `nl`, plus the fabric
+/// sizing the place stage would apply.
+core::FlowContext front_end(const netlist::MultiContextNetlist& nl,
+                            const arch::FabricSpec& spec,
+                            const core::CompileOptions& opts) {
+  core::FlowContext ctx = core::make_flow_context(nl, spec, opts);
+  const auto& pipeline = core::default_pipeline();
+  core::run_pipeline(ctx, std::vector<const core::Stage*>(
+                              pipeline.begin(), pipeline.begin() + 4));
+  core::size_fabric_and_build_graph(ctx);
+  return ctx;
+}
+
+/// First rewire of `nl` (nodes from pick_lut_node upward, seeds 1..16)
+/// whose front end satisfies `wanted` and still fits `base`'s fabric.
+template <class Wanted>
+netlist::MultiContextNetlist find_rewire(const netlist::MultiContextNetlist& nl,
+                                         const arch::FabricSpec& spec,
+                                         const core::CompileOptions& opts,
+                                         const core::CompiledDesign& base,
+                                         Wanted&& wanted) {
+  for (std::size_t node = pick_lut_node(nl);
+       node < nl.context(0).num_nodes(); ++node) {
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+      auto edited = workload::rewire_edit(nl, node, seed);
+      const core::FlowContext ctx = front_end(edited, spec, opts);
+      if (ctx.spec.width == base.fabric.width &&
+          ctx.spec.height == base.fabric.height && wanted(ctx)) {
+        return edited;
+      }
+    }
+  }
+  ADD_FAILURE() << "no rewire of the workload has the wanted shape";
+  return nl;
+}
+
+/// Sorted (context, node name) members of each cluster's sharing classes
+/// — the identity ECO placement matches clusters by.
+std::vector<std::vector<std::pair<std::size_t, std::string>>>
+cluster_members(const core::CompiledDesign& d) {
+  std::vector<std::vector<std::pair<std::size_t, std::string>>> out(
+      d.clusters.size());
+  for (std::size_t k = 0; k < d.clusters.size(); ++k) {
+    for (const std::size_t s : d.clusters[k].slots) {
+      for (const auto& e : d.planes.slots[s].entries) {
+        for (const auto& [c, node] : d.sharing.classes[e.use.cls].members) {
+          out[k].emplace_back(c, d.netlist.context(c).node(node).name);
+        }
+      }
+    }
+    std::sort(out[k].begin(), out[k].end());
+  }
+  return out;
+}
+
+/// A full ProgramStage run over `d`'s own placement and routing.
+std::string full_program_text(const core::CompiledDesign& d,
+                              const netlist::MultiContextNetlist& nl,
+                              const arch::FabricSpec& spec,
+                              const core::CompileOptions& opts) {
+  core::FlowContext ctx = front_end(nl, spec, opts);
+  ctx.placement = d.placement;
+  ctx.routing = d.routing;
+  core::ProgramStage().run(ctx);
+  return config::to_text(ctx.full_bitstream);
+}
+
 std::vector<core::CompileOptions> config_matrix() {
   std::vector<core::CompileOptions> matrix;
   core::CompileOptions base;
@@ -550,7 +617,8 @@ TEST(DeltaRecompile, RandomEditSequencesStayCorrectWithFullQoR) {
 
   Rng rng(9);
   std::size_t deltas_taken = 0;
-  for (std::size_t step = 0; step < 6; ++step) {
+  constexpr std::size_t kSteps = 6;
+  for (std::size_t step = 0; step < kSteps; ++step) {
     const std::size_t node = pick_lut_node(current) +
                              rng.next_below(3);
     const auto edited =
@@ -559,6 +627,8 @@ TEST(DeltaRecompile, RandomEditSequencesStayCorrectWithFullQoR) {
     const Compiled next = service.compile_incremental(compiled, edited, opts);
     ASSERT_TRUE(next.design.routing.success) << "step " << step;
     expect_functionally_correct(next.design, edited);
+    EXPECT_TRUE(next.design.cache.delta)
+        << "step " << step << ": " << next.design.cache.delta_fallback;
     if (next.design.cache.delta) {
       ++deltas_taken;
       // QoR guard: the delta design must match a full recompile of the
@@ -575,8 +645,99 @@ TEST(DeltaRecompile, RandomEditSequencesStayCorrectWithFullQoR) {
     compiled = std::move(next);
     current = edited;
   }
-  // The sequence must exercise the delta path, not just fall back.
-  EXPECT_GT(deltas_taken, 0u);
+  // ECO placement carries every retable and rewire of the sequence.
+  EXPECT_EQ(deltas_taken, kSteps);
+}
+
+TEST(DeltaRecompile, EcoRewireKeepsMatchedSitesAndPads) {
+  // A rewire that changes the placement problem: every cluster whose
+  // content survived keeps its site, every surviving terminal its pad,
+  // and the nets whose endpoints moved are re-routed.
+  const auto nl = four_context_workload();
+  const auto spec = small_spec();
+  CompileService service;
+  const core::CompileOptions opts;
+  const Compiled base = service.compile(nl, spec, opts);
+
+  const auto edited = workload::rewire_edit(nl, pick_lut_node(nl), 21);
+  const Compiled inc = service.compile_incremental(base, edited, opts);
+  ASSERT_NE(inc.placement_problem_hash, base.placement_problem_hash);
+  ASSERT_TRUE(inc.design.cache.delta) << inc.design.cache.delta_fallback;
+  EXPECT_GT(inc.design.cache.nets_rerouted, 0u);
+  expect_functionally_correct(inc.design, edited);
+
+  const auto was = cluster_members(base.design);
+  const auto now = cluster_members(inc.design);
+  std::size_t matched = 0;
+  for (std::size_t k = 0; k < now.size(); ++k) {
+    const auto it = std::find(was.begin(), was.end(), now[k]);
+    if (it != was.end()) {
+      ++matched;
+      EXPECT_EQ(inc.design.placement.cluster_pos[k],
+                base.design.placement.cluster_pos[static_cast<std::size_t>(
+                    it - was.begin())])
+          << "cluster " << k;
+    }
+  }
+  EXPECT_GT(matched, 0u);
+  const auto expect_kept_pads = [&](const auto& now_terms,
+                                    const auto& was_terms) {
+    for (const auto& [name, t] : now_terms) {
+      const auto it = was_terms.find(name);
+      if (it != was_terms.end()) {
+        EXPECT_EQ(inc.design.placement.io_pads[t],
+                  base.design.placement.io_pads[it->second])
+            << "terminal " << name;
+      }
+    }
+  };
+  expect_kept_pads(inc.design.input_terminals, base.design.input_terminals);
+  expect_kept_pads(inc.design.output_terminals, base.design.output_terminals);
+}
+
+TEST(DeltaRecompile, EcoRewireChangingClusterCountTakesDeltaPath) {
+  const auto nl = four_context_workload();
+  const auto spec = small_spec();
+  CompileService service;
+  const core::CompileOptions opts;
+  const Compiled base = service.compile(nl, spec, opts);
+
+  const auto edited = find_rewire(
+      nl, spec, opts, base.design, [&](const core::FlowContext& ctx) {
+        return ctx.clusters.size() != base.design.clusters.size();
+      });
+  const Compiled inc = service.compile_incremental(base, edited, opts);
+  ASSERT_NE(inc.design.clusters.size(), base.design.clusters.size());
+  EXPECT_TRUE(inc.design.cache.delta) << inc.design.cache.delta_fallback;
+  EXPECT_GT(inc.design.cache.program_rows_reused, 0u);
+  EXPECT_EQ(config::to_text(inc.design.full_bitstream),
+            full_program_text(inc.design, edited, spec, opts));
+  expect_functionally_correct(inc.design, edited);
+}
+
+TEST(DeltaRecompile, EcoRewireOrphaningAnInputTakesDeltaPath) {
+  const auto nl = four_context_workload();
+  const auto spec = small_spec();
+  CompileService service;
+  const core::CompileOptions opts;
+  const Compiled base = service.compile(nl, spec, opts);
+
+  const auto edited = find_rewire(
+      nl, spec, opts, base.design, [&](const core::FlowContext& ctx) {
+        for (const auto& [name, t] : base.design.input_terminals) {
+          if (ctx.input_terminals.count(name) == 0) {
+            return true;
+          }
+        }
+        return false;
+      });
+  const Compiled inc = service.compile_incremental(base, edited, opts);
+  ASSERT_LT(inc.design.input_terminals.size(),
+            base.design.input_terminals.size());
+  EXPECT_TRUE(inc.design.cache.delta) << inc.design.cache.delta_fallback;
+  EXPECT_EQ(config::to_text(inc.design.full_bitstream),
+            full_program_text(inc.design, edited, spec, opts));
+  expect_functionally_correct(inc.design, edited);
 }
 
 TEST(DeltaRecompile, IncrementalProgramStageReusesRowsBitForBit) {

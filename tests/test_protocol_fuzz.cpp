@@ -1,14 +1,16 @@
-// Deterministic mutation fuzzer for the compile daemon's wire decoders
-// (src/serve/protocol.hpp): frame_from_bytes, decode_request,
-// decode_reply and decode_progress.
+// Deterministic mutation fuzzer for the compile daemon's untrusted-input
+// decoders: the wire decoders (src/serve/protocol.hpp: frame_from_bytes,
+// decode_request, decode_reply, decode_progress) and the netlist text a
+// request carries (config::netlist_from_text, which submit_frame runs).
 //
 // Seed frames and payloads are mutated with byte flips, overwrites with
 // characters the formats care about, inserts, deletes, truncations and
-// rewritten length fields (a blob's `*_bytes` count or the frame header's
-// u32, set to off-by-one, bytes-left and huge values).  Each mutant must
-// either decode or throw InvalidArgument: any other exception fails the
-// test, as does a crash or, in the ASan+UBSan lane, undefined behaviour.
-// Each mutant that decodes must re-encode to exactly its own bytes.
+// rewritten counts (a blob's `*_bytes` count, the frame header's u32, or
+// a netlist's `contexts` / `nodes` / `outputs` count, set to off-by-one,
+// bytes-left and huge values).  Each mutant must either decode or throw
+// InvalidArgument: any other exception fails the test, as does a crash
+// or, in the ASan+UBSan lane, undefined behaviour.  Each wire mutant that
+// decodes must re-encode to exactly its own bytes.
 //
 // The seed is fixed, so every run checks the same inputs; the iteration
 // count keeps the whole test well under 2 s, sanitized builds included.
@@ -20,10 +22,14 @@
 #include <exception>
 #include <string>
 #include <typeinfo>
+#include <utility>
 #include <vector>
 
+#include "common/bitvector.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "config/serialize.hpp"
+#include "netlist/dfg.hpp"
 #include "serve/protocol.hpp"
 
 namespace mcfpga::serve {
@@ -73,9 +79,29 @@ CompileReply seed_reply(CompileReply::Status status) {
   return reply;
 }
 
+/// Two contexts sharing input names, so the seed exercises every line
+/// kind of the netlist text.
+std::string seed_netlist_text() {
+  netlist::MultiContextNetlist nl(2);
+  const auto a = nl.context(0).add_input("a");
+  const auto b = nl.context(0).add_input("b");
+  const auto x =
+      nl.context(0).add_lut("xor", {a, b}, BitVector::from_string("0110"));
+  nl.context(0).mark_output(x, "y");
+  nl.context(0).mark_output(a, "z");
+  const auto p = nl.context(1).add_input("a");
+  const auto q = nl.context(1).add_lut("inv", {p}, BitVector::from_string("01"));
+  nl.context(1).mark_output(q, "y");
+  return config::netlist_to_text(nl);
+}
+
 class Mutator {
  public:
-  explicit Mutator(std::uint64_t seed) : rng_(seed) {}
+  /// `count_keys` name the counts the count rewrite targets: the text
+  /// right after each key is a decimal count.
+  explicit Mutator(std::uint64_t seed,
+                   std::vector<std::string> count_keys = {"_bytes "})
+      : rng_(seed), count_keys_(std::move(count_keys)) {}
 
   /// One to three mutations of `in`.
   std::string mutate(std::string s) {
@@ -152,7 +178,7 @@ class Mutator {
         s.resize(pos(s.size() + 1));
         break;
       case 5:
-        rewrite_blob_length(s);
+        rewrite_count(s);
         break;
       default:
         rewrite_frame_length(s);
@@ -160,12 +186,14 @@ class Mutator {
     }
   }
 
-  /// Sets one `*_bytes <n>` count to an interesting value.
-  void rewrite_blob_length(std::string& s) {
+  /// Sets one count after a `count_keys_` key to an interesting value.
+  void rewrite_count(std::string& s) {
     std::vector<std::size_t> counts;
-    for (std::size_t at = s.find("_bytes "); at != std::string::npos;
-         at = s.find("_bytes ", at + 1)) {
-      counts.push_back(at + 7);
+    for (const std::string& key : count_keys_) {
+      for (std::size_t at = s.find(key); at != std::string::npos;
+           at = s.find(key, at + 1)) {
+        counts.push_back(at + key.size());
+      }
     }
     if (counts.empty()) {
       return;
@@ -198,6 +226,7 @@ class Mutator {
   }
 
   Rng rng_;
+  std::vector<std::string> count_keys_;
 };
 
 /// Runs every decoder on its inputs and keeps the verdicts.
@@ -218,6 +247,22 @@ class Checker {
       if (again != bytes) {
         report(what, bytes, "decoded, but re-encodes to different bytes");
       }
+    } catch (const InvalidArgument&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      report(what, bytes,
+             std::string("threw ") + typeid(e).name() + ": " + e.what());
+    }
+  }
+
+  /// `parse` must return normally or throw InvalidArgument (for formats
+  /// whose reader is lenient, so no re-encoding is compared).
+  template <typename Parse>
+  void check_parses(const char* what, const std::string& bytes,
+                    Parse&& parse) {
+    try {
+      parse(bytes);
+      ++decoded;
     } catch (const InvalidArgument&) {
       ++rejected;
     } catch (const std::exception& e) {
@@ -346,6 +391,23 @@ TEST(ProtocolFuzz, MutantsDecodeCanonicallyOrThrowInvalidArgument) {
   // Both outcomes are exercised, so the property is not vacuous.
   EXPECT_GT(c.rejected, kMutantsPerSeed);
   EXPECT_GT(c.decoded, 4u + 4u * 2u + kMutantsPerSeed / 10);
+}
+
+TEST(ProtocolFuzz, NetlistMutantsParseOrThrowInvalidArgument) {
+  const std::string seed = seed_netlist_text();
+  const auto parse = [](const std::string& text) {
+    return config::netlist_from_text(text);
+  };
+  Checker c;
+  c.check_parses("netlist_from_text", seed, parse);
+  ASSERT_EQ(c.decoded, 1u);
+
+  Mutator m(kSeed, {"contexts ", "nodes ", "outputs "});
+  for (std::size_t i = 0; i < kMutantsPerSeed; ++i) {
+    c.check_parses("netlist_from_text", m.mutate(seed), parse);
+  }
+  EXPECT_GT(c.rejected, kMutantsPerSeed / 2);
+  EXPECT_GT(c.decoded, kMutantsPerSeed / 100);
 }
 
 }  // namespace

@@ -254,6 +254,15 @@ TEST(NetlistSerialize, RejectsMalformedNumericFixtures) {
   // Overflow past u64 (istream clamps; strict parsing rejects).
   expect_rejected_at(
       "mcfpga-netlist v1\ncontexts 99999999999999999999\n", "line 2");
+  // A context count the lines do not back up is rejected on its own line,
+  // never allocated up front.
+  expect_rejected_at("mcfpga-netlist v1\ncontexts 18446744073709551615\n",
+                     "line 2");
+  expect_rejected_at("mcfpga-netlist v1\ncontexts 1000000000000\n",
+                     "line 2");
+  expect_rejected_at("mcfpga-netlist v1\ncontexts 2\ncontext 0\nnodes 1\n"
+                     "in a\noutputs 0\n",
+                     "line 2");
   // Node count and LUT arity/fanin lines.
   expect_rejected_at(
       "mcfpga-netlist v1\ncontexts 1\ncontext 0\nnodes 2x\n", "line 4");

@@ -753,8 +753,14 @@ TEST(CompileDaemon, MalformedRequestRejectedAtSubmit) {
   CompileDaemon daemon;
   CompileRequest request = sample_request();
   request.base_job.clear();
-  request.netlist_text = "mcfpga-netlist v1\ncontexts 2abc\n";
-  EXPECT_THROW(daemon.submit_frame(request_frame(request)), InvalidArgument);
+  // The context count is client text: a forged one is malformed input,
+  // never an allocation size.
+  for (const char* count : {"2abc", "18446744073709551615", "1000000000000"}) {
+    request.netlist_text =
+        std::string("mcfpga-netlist v1\ncontexts ") + count + "\n";
+    EXPECT_THROW(daemon.submit_frame(request_frame(request)), InvalidArgument)
+        << count;
+  }
   EXPECT_EQ(daemon.stats().submitted, 0u);
 }
 
