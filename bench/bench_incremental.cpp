@@ -3,7 +3,7 @@
 //
 // Lanes (one BENCH_JSON line each, see bench_json.hpp):
 //   incremental_cold          first compile through CompileService — every
-//                             stage runs and publishes its artifact;
+//                             stage runs and the design is stored;
 //   incremental_cache_hit     identical recompile — pure cache lookup.
 //                             GATE: >= hit_gate x faster than cold and
 //                             bit-identical bitstream;
@@ -161,8 +161,8 @@ int main(int argc, char** argv) {
                      worst_critical_path(cold.design), extra.str());
   }
   if (hit_misses != 0) {
-    fail_gate("cache-hit recompile missed " + std::to_string(hit_misses) +
-              " stages (expected 0)");
+    fail_gate("cache-hit recompile missed the design cache " +
+              std::to_string(hit_misses) + " times (expected 0)");
   }
   if (hit_bitstream != config::to_text(cold.design.full_bitstream)) {
     fail_gate("cache-hit bitstream differs from the cold compile");

@@ -4,8 +4,8 @@
 //   1. serve_cold      — first job through the daemon: full pipeline over
 //                        the wire, progress frames counted.
 //   2. serve_repeat    — the same netlist as a second job: served from
-//                        the shared stage cache (0 misses), byte-identical
-//                        to both the first job and a direct
+//                        the shared design cache (1 hit, 0 misses),
+//                        byte-identical to both the first job and a direct
 //                        CompileService compile (the determinism gate).
 //   3. serve_concurrent— N sessions submitted at once on a multi-worker
 //                        daemon: every reply byte-identical to the direct
@@ -133,8 +133,8 @@ int main(int argc, char** argv) {
                      repeat.reply.critical_path, extra.str());
   }
   if (repeat.reply.cache_misses != 0) {
-    fail_gate("repeat job missed " +
-              std::to_string(repeat.reply.cache_misses) + " stages");
+    fail_gate("repeat job missed the design cache " +
+              std::to_string(repeat.reply.cache_misses) + " times");
   }
   if (repeat.reply.bitstream_text != oracle_text) {
     fail_gate("repeat bitstream differs from the direct compile");

@@ -11,11 +11,14 @@
 # fail CI even when every QoR gate still passes, and build and run the
 # repo benchmark (perfbench/) for one second per workload so a library
 # change that breaks what perfbench reads fails here, not only in the
-# benchmark run.  The TSan lane also runs the stage-cache and daemon test
-# suites, whose concurrent-hit stress tests restore from the shared cache
-# while other threads publish into it and evict from it, and the
-# cross-context routing suite, whose worker-count determinism tests fan
-# the independent baseline out over threads in both cross-context modes.
+# benchmark run; each workload runs untraced and traced, because only a
+# traced run exercises perfbench's per-layer report (the stage spans it
+# books from the library's observer steps).  The TSan lane also runs the
+# design-cache and daemon test suites, whose concurrent-hit stress tests
+# restore from the shared cache while other threads publish into it and
+# evict from it, and the cross-context routing suite, whose worker-count
+# determinism tests fan the independent baseline out over threads in both
+# cross-context modes.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-check)
 set -euo pipefail
@@ -77,11 +80,13 @@ python3 scripts/bench_guard.py --baseline BENCH_INCREMENTAL.json \
 python3 scripts/bench_guard.py --baseline BENCH_SERVE.json \
   --log "$BUILD_DIR"/bench_serve_smoke.log
 
-echo "--- repo benchmark (perfbench) build + 1 s per workload ---"
+echo "--- repo benchmark (perfbench): 1 s per workload, traced and not ---"
 # run.py builds perfbench (Release, under .bench_build/) on first use and
 # exits non-zero on a build failure, a wrong op, or metrics that differ
 # from BENCHMARK.json.
 for workload in cold_flow edit_loop serve_mix; do
-  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
-    > /dev/null
+  for trace in 0 1; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+      --trace "$trace" > /dev/null
+  done
 done

@@ -121,38 +121,31 @@ void PatternSet::clear() {
 // ---------------------------------------------------------------------------
 // ArtifactCache
 
-ArtifactCache::Entry* ArtifactCache::find_entry(std::uint64_t key,
-                                                const std::type_info& type) {
+std::shared_ptr<const DesignArtifact> ArtifactCache::find(
+    std::uint64_t key) {
   const auto it = entries_.find(key);
-  if (it == entries_.end() || *it->second.type != type) {
+  if (it == entries_.end()) {
     ++counters_.misses;
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second.lru_it);
   ++counters_.hits;
-  return &it->second;
+  return it->second.value;
 }
 
-void ArtifactCache::store_entry(std::uint64_t key,
-                                std::shared_ptr<const void> value,
-                                const std::type_info& type,
-                                std::size_t bytes) {
+void ArtifactCache::store(std::uint64_t key,
+                          std::shared_ptr<const DesignArtifact> value,
+                          std::size_t bytes) {
   const auto it = entries_.find(key);
   if (it != entries_.end()) {
     bytes_ -= it->second.bytes;
     it->second.value = std::move(value);
-    it->second.type = &type;
     it->second.bytes = bytes;
     bytes_ += bytes;
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
   } else {
     lru_.push_front(key);
-    Entry entry;
-    entry.value = std::move(value);
-    entry.type = &type;
-    entry.bytes = bytes;
-    entry.lru_it = lru_.begin();
-    entries_.emplace(key, std::move(entry));
+    entries_.emplace(key, Entry{std::move(value), bytes, lru_.begin()});
     bytes_ += bytes;
   }
   ++counters_.stores;

@@ -1,15 +1,14 @@
-// In-memory content-addressed artifact store: a bounded, LRU-evicted map
-// from 64-bit content keys (cache/key.hpp) to immutable stage artifacts,
+// In-memory content-addressed design store: a bounded, LRU-evicted map
+// from 64-bit flow keys (cache/key.hpp) to immutable design artifacts,
 // plus the pattern interner that stores each distinct switch/bitstream
 // ContextPattern once across every cached design.
 //
-// The cache is type-erased so one store serves every stage's artifact
-// type; find<T>() treats a key whose stored type differs as a miss (keys
-// are content hashes, so this only triggers on a 64-bit collision).
-// Artifacts are handed out as shared_ptr<const T>: eviction drops the
-// cache's reference, never a consumer's, and artifacts holding interned
-// pattern ids release them from their destructors (PatternSet), so LRU
-// eviction and interning compose without dangling ids.
+// One compile is one entry: a DesignArtifact holds the whole compiled
+// design.  Artifacts are handed out as shared_ptr<const DesignArtifact>:
+// eviction drops the cache's reference, never a consumer's, and artifacts
+// holding interned pattern ids release them from their destructors
+// (PatternSet), so LRU eviction and interning compose without dangling
+// ids.
 //
 // Neither class is thread-safe; the compile service serializes access.
 #pragma once
@@ -19,12 +18,14 @@
 #include <deque>
 #include <list>
 #include <memory>
-#include <typeinfo>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/bitvector.hpp"
+#include "config/bitstream.hpp"
 #include "config/pattern.hpp"
+#include "core/flow.hpp"
 
 namespace mcfpga::cache {
 
@@ -99,11 +100,47 @@ class PatternSet {
   std::vector<PatternInterner::Id> ids_;
 };
 
-/// Bounded LRU store of immutable artifacts keyed by content hash.
+/// One compiled design as the cache stores it.  Its switch patterns and
+/// bitstream rows go through the PatternInterner, so a corpus of cached
+/// designs keeps each distinct ContextPattern once.  The artifact has
+/// three parts:
+///   - `value`: everything else.  It holds no interner ids, so a hit may
+///     keep reading it after the cache lock is released;
+///   - `ids`: the interned patterns, released (under the lock) when the
+///     artifact dies;
+///   - `patterns`: the interned patterns materialized back into values.
+///     The first hit builds it under the lock (the only time a hit reads
+///     the interner); every later hit shares it.
+struct DesignArtifact {
+  struct Row {
+    std::string name;
+    config::ResourceKind kind = config::ResourceKind::kRoutingSwitch;
+  };
+  struct Value {
+    /// Switch patterns, bitstream rows, stage timings and cache stats
+    /// left empty; the bitstream keeps its context count.
+    core::CompiledDesign design;
+    std::vector<Row> rows;  ///< Bitstream rows; patterns interned.
+    std::uint64_t placement_problem_hash = 0;
+  };
+  struct Patterns {
+    /// Both the routing's and the program's (ProgramStage copies one
+    /// into the other).
+    std::vector<config::ContextPattern> switch_patterns;
+    config::Bitstream bitstream;  ///< Hits share its row storage.
+  };
+
+  std::shared_ptr<const Value> value;
+  /// The switch patterns, then one per bitstream row.
+  PatternSet ids;
+  mutable std::shared_ptr<const Patterns> patterns;
+};
+
+/// Bounded LRU store of design artifacts keyed by content hash.
 class ArtifactCache {
  public:
   struct Limits {
-    std::size_t max_entries = 64;
+    std::size_t max_entries = 8;  ///< Designs.
     std::size_t max_bytes = 512ull << 20;
   };
   struct Counters {
@@ -117,29 +154,17 @@ class ArtifactCache {
   explicit ArtifactCache(Limits limits) : limits_(limits) {}
 
   /// Looks `key` up; a hit refreshes its LRU position.
-  template <typename T>
-  std::shared_ptr<const T> find(std::uint64_t key) {
-    Entry* entry = find_entry(key, typeid(T));
-    if (entry == nullptr) {
-      return nullptr;
-    }
-    return std::static_pointer_cast<const T>(entry->value);
-  }
+  std::shared_ptr<const DesignArtifact> find(std::uint64_t key);
 
   /// Inserts (or replaces) `key`, then evicts least-recently-used entries
   /// until the limits hold again.  `bytes` is the caller's size estimate
   /// used for the byte bound.
-  template <typename T>
-  void store(std::uint64_t key, std::shared_ptr<const T> value,
-             std::size_t bytes) {
-    store_entry(key,
-                std::static_pointer_cast<const void>(std::move(value)),
-                typeid(T), bytes);
-  }
+  void store(std::uint64_t key, std::shared_ptr<const DesignArtifact> value,
+             std::size_t bytes);
 
   /// Adds `bytes` to a live entry's size estimate (for data an artifact
-  /// builds after its store, like a restored snapshot), then evicts as
-  /// store() does.  No-op when `key` is absent.
+  /// builds after its store, like its materialized patterns), then evicts
+  /// as store() does.  No-op when `key` is absent.
   void charge(std::uint64_t key, std::size_t bytes);
 
   const Counters& counters() const { return counters_; }
@@ -149,15 +174,11 @@ class ArtifactCache {
 
  private:
   struct Entry {
-    std::shared_ptr<const void> value;
-    const std::type_info* type = nullptr;
+    std::shared_ptr<const DesignArtifact> value;
     std::size_t bytes = 0;
     std::list<std::uint64_t>::iterator lru_it;
   };
 
-  Entry* find_entry(std::uint64_t key, const std::type_info& type);
-  void store_entry(std::uint64_t key, std::shared_ptr<const void> value,
-                   const std::type_info& type, std::size_t bytes);
   void evict_over_limit();
 
   Limits limits_{};

@@ -23,9 +23,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-void push_timing(core::FlowContext& ctx, const char* name,
+void push_timing(std::vector<core::StageTiming>& timings, const char* name,
                  Clock::time_point start) {
-  ctx.stage_timings.push_back(core::StageTiming{
+  timings.push_back(core::StageTiming{
       name, std::chrono::duration<double>(Clock::now() - start).count()});
 }
 
@@ -527,20 +527,33 @@ Compiled CompileService::compile(const netlist::MultiContextNetlist& netlist,
                                  const core::CompileOptions& options,
                                  core::StageObserver* observer) {
   core::FlowContext ctx = core::make_flow_context(netlist, spec, options);
-  cache_.attach(ctx);
-  ctx.observer = observer;
-  core::run_pipeline(ctx, options.closure_iterations >= 2
-                              ? core::closure_pipeline()
-                              : core::default_pipeline());
+  const std::uint64_t key = flow_base_key(netlist, ctx.spec, options);
   Compiled out;
   out.netlist = netlist;
   out.spec = spec;
   out.options = options;
+
+  // One lookup before any stage runs.  A hit is the compile's only step;
+  // a miss abandons the step and runs the whole pipeline.
+  observe_start(observer, "cache");
+  const Clock::time_point start = Clock::now();
+  if (const FlowCache::Hit hit = cache_.find(key)) {
+    out.design = hit.design();
+    out.placement_problem_hash = hit.value->placement_problem_hash;
+    push_timing(out.design.stage_timings, "cache", start);
+    observe_done(observer, "cache", start);
+    fill_cache_stats(out.design, 1, 0);
+    return out;
+  }
+
+  ctx.observer = observer;
+  core::run_pipeline(ctx, options.closure_iterations >= 2
+                              ? core::closure_pipeline()
+                              : core::default_pipeline());
   out.placement_problem_hash = effective_placement_problem(ctx).second;
-  const std::size_t hits = ctx.cache_hits;
-  const std::size_t misses = ctx.cache_misses;
   out.design = core::finalize_design(std::move(ctx));
-  fill_cache_stats(out.design, hits, misses);
+  cache_.store(key, out.design, out.placement_problem_hash);
+  fill_cache_stats(out.design, 0, 1);
   return out;
 }
 
@@ -550,7 +563,9 @@ Compiled CompileService::fallback(const Compiled& previous,
                                   const char* reason,
                                   core::StageObserver* observer) {
   // Counted before the compile so fill_cache_stats (inside it) already
-  // sees this event in the breakdown it copies out.
+  // sees this event in the breakdown it copies out.  The fallback is an
+  // ordinary compile: it looks the edited design up and, on a miss,
+  // re-runs the front end the delta path already ran.
   count_fallback(reason);
   Compiled full = compile(edited, previous.spec, options, observer);
   full.design.cache.delta_fallback = reason;
@@ -581,7 +596,7 @@ Compiled CompileService::compile_incremental(
   }
   const NetlistDiff diff = diff_netlists(previous.netlist, edited);
   if (diff.changed_nodes == 0) {
-    // Bit-for-bit the previous design: let the stage cache replay it.
+    // Bit-for-bit the previous design: let the design cache replay it.
     return compile(edited, previous.spec, options, observer);
   }
   if (diff.fraction() > options_.max_diff_fraction) {
@@ -606,19 +621,16 @@ Compiled CompileService::compile_incremental(
     }
   }
 
-  // --- front-end (cheap, cached): techmap / sharing / planes / cluster ----
+  // --- front-end (cheap, uncached): techmap / sharing / planes / cluster --
+  // The delta path's outputs are not full-pipeline designs, so nothing of
+  // it is looked up or stored.
   core::FlowContext ctx =
       core::make_flow_context(edited, previous.spec, options);
-  cache_.attach(ctx);
   ctx.observer = observer;
   const auto& pipeline = core::default_pipeline();
   core::run_pipeline(
       ctx, std::vector<const core::Stage*>(pipeline.begin(),
                                            pipeline.begin() + 4));
-  // The delta path's place/route outputs are NOT full-pipeline artifacts;
-  // stop the hook so they are never published under full-compile keys.
-  ctx.cache = nullptr;
-  ctx.cache_key_valid = false;
 
   // --- compatibility gate: the previous physical world must still fit ---
   // (a cluster or terminal that does not fit grows the fabric)
@@ -650,7 +662,7 @@ Compiled CompileService::compile_incremental(
   } else {
     ctx.placement = eco_place(ctx, build.problem, previous.design);
   }
-  push_timing(ctx, "place", place_start);
+  push_timing(ctx.stage_timings, "place", place_start);
   observe_done(observer, "place", place_start);
 
   // --- routing: keep matching trees, rip up and re-route the rest --------
@@ -836,7 +848,7 @@ Compiled CompileService::compile_incremental(
 
   ctx.routing = route::merge_context_results(graph, std::move(results));
   MCFPGA_CHECK(ctx.routing.success, "delta merge lost convergence");
-  push_timing(ctx, "route", route_start);
+  push_timing(ctx.stage_timings, "route", route_start);
   observe_done(observer, "route", route_start);
 
   observe_start(observer, "timing");
@@ -846,14 +858,14 @@ Compiled CompileService::compile_incremental(
     ctx.context_stats[c].nets_invalidated = plans[c].invalid.size();
     ctx.context_stats[c].nets_rerouted = plans[c].invalid.size();
   }
-  push_timing(ctx, "timing", timing_start);
+  push_timing(ctx.stage_timings, "timing", timing_start);
   observe_done(observer, "timing", timing_start);
 
   observe_start(observer, "program");
   const Clock::time_point program_start = Clock::now();
   const ProgramDelta program_delta =
       run_program_incremental(ctx, previous.design);
-  push_timing(ctx, "program", program_start);
+  push_timing(ctx.stage_timings, "program", program_start);
   observe_done(observer, "program", program_start);
 
   Compiled out;
@@ -861,10 +873,8 @@ Compiled CompileService::compile_incremental(
   out.spec = previous.spec;
   out.options = options;
   out.placement_problem_hash = problem_hash;
-  const std::size_t hits = ctx.cache_hits;
-  const std::size_t misses = ctx.cache_misses;
   out.design = core::finalize_design(std::move(ctx));
-  fill_cache_stats(out.design, hits, misses);
+  fill_cache_stats(out.design, 0, 0);
   out.design.cache.delta = true;
   out.design.cache.nets_invalidated = total_invalidated;
   out.design.cache.nets_rerouted = total_invalidated;

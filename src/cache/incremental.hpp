@@ -1,12 +1,12 @@
-// Incremental-recompile driver over the content-addressed stage cache.
+// Incremental-recompile driver over the content-addressed design cache.
 //
-// CompileService::compile() is compile() with every stage consulting and
-// publishing the FlowCache, so recompiling an unchanged design is pure
-// lookup and recompiling an edited one reuses the unchanged pipeline
-// prefix.  compile_incremental() is the delta path for small edits: it
-// diffs the previous and edited netlists, re-runs only the cheap front-end
-// (techmap/sharing/planes/cluster), and places incrementally.  When the
-// placement problem is unchanged it reuses the previous placement
+// CompileService::compile() is compile() behind one FlowCache lookup:
+// recompiling an unchanged design is a pure lookup that runs no stage,
+// and any other compile runs the whole pipeline and stores its design.
+// compile_incremental() is the delta path for small edits: it diffs the
+// previous and edited netlists, re-runs only the cheap front-end
+// (techmap/sharing/planes/cluster, uncached), and places incrementally.
+// When the placement problem is unchanged it reuses the previous placement
 // verbatim.  Otherwise it runs an ECO placement: every cluster whose
 // content (the (context, node name) members of its sharing classes)
 // survived keeps its site and every surviving I/O terminal keeps its pad,
@@ -18,8 +18,9 @@
 // changed switches and clusters.  Any condition the delta path cannot
 // honor (big diff, changed options, a design that no longer fits the
 // fabric, closure flows, multi-context edits of an interleaved flow, too
-// many invalidated nets, non-convergence, wire overlap) falls back to a
-// full — still cached — recompile, recorded in CacheStats::delta_fallback.
+// many invalidated nets, non-convergence, wire overlap) falls back to an
+// ordinary compile(), recorded in CacheStats::delta_fallback.  The delta
+// path itself neither looks up nor stores a design.
 //
 // The delta path is single-threaded by construction, so its results are
 // deterministic for any worker-count setting; the full path inherits the
@@ -34,13 +35,14 @@
 
 #include "cache/stage_cache.hpp"
 #include "core/flow.hpp"
+#include "core/stages.hpp"
 
 namespace mcfpga::cache {
 
 /// Delta-path policy.  Placement has no knobs: ECO placement is a
 /// deterministic matching, not an anneal.
 struct IncrementalOptions {
-  /// Bounds of the artifact store.
+  /// Bounds of the design store.
   ArtifactCache::Limits limits{};
   /// Fall back to full recompile when more than this fraction of DFG
   /// nodes changed (union over contexts).
@@ -90,19 +92,21 @@ struct Compiled {
 
 /// Thread safety: compile() and compile_incremental() may be called from
 /// several threads at once against one service (the serve daemon does) —
-/// the shared FlowCache locks only its own lookups/publishes, and the
+/// the shared FlowCache locks only its own lookups/stores, and the
 /// fallback-reason ledger has its own lock.  A design's cache.hits /
-/// cache.misses count its own compile's lookups only.  Results stay
-/// bit-identical to single-threaded calls because every compile is a pure
-/// function of its inputs and cache hits restore bit-identical snapshots.
+/// cache.misses count its own compile's lookup only: 1/0 for a hit, 0/1
+/// for a miss, 0/0 for a delta-path recompile.  Results stay bit-identical
+/// to single-threaded calls because every compile is a pure function of
+/// its inputs and cache hits restore bit-identical snapshots.
 class CompileService {
  public:
   explicit CompileService(IncrementalOptions options = {})
       : options_(options), cache_(options.limits) {}
 
-  /// Full pipeline with the stage cache attached.  `observer` (optional,
-  /// not owned) sees every stage boundary: progress streaming plus
-  /// cooperative cancellation (core::StageObserver).
+  /// One design-cache lookup, then the full pipeline on a miss (whose
+  /// design is stored).  `observer` (optional, not owned) sees a hit as
+  /// one "cache" step and a miss as the pipeline's stages: progress
+  /// streaming plus cooperative cancellation (core::StageObserver).
   Compiled compile(const netlist::MultiContextNetlist& netlist,
                    const arch::FabricSpec& spec,
                    const core::CompileOptions& options = {},
@@ -110,9 +114,9 @@ class CompileService {
 
   /// Delta recompile of `previous` under the edited netlist; `options`
   /// must match previous.options for the delta path to engage (any
-  /// difference falls back to a full cached compile).  The observer sees
-  /// the delta path's own place/route/timing/program blocks as stage
-  /// boundaries too, so cancellation and deadlines work on both paths.
+  /// difference falls back to compile()).  The observer sees the delta
+  /// path's own place/route/timing/program blocks as stage boundaries
+  /// too, so cancellation and deadlines work on both paths.
   Compiled compile_incremental(const Compiled& previous,
                                const netlist::MultiContextNetlist& edited,
                                const core::CompileOptions& options,
@@ -131,8 +135,7 @@ class CompileService {
                     const core::CompileOptions& options,
                     const char* reason, core::StageObserver* observer);
   void count_fallback(const std::string& reason);
-  /// `hits` / `misses`: the compile's own stage lookups
-  /// (FlowContext::cache_hits / cache_misses).
+  /// `hits` / `misses`: the compile's own design-cache lookup.
   void fill_cache_stats(core::CompiledDesign& design, std::size_t hits,
                         std::size_t misses) const;
 

@@ -106,8 +106,4 @@ std::uint64_t flow_base_key(const netlist::MultiContextNetlist& netlist,
   return h.digest();
 }
 
-std::uint64_t stage_key(std::uint64_t prev, std::string_view stage_name) {
-  return common::hash_combine(prev, common::fnv1a(stage_name));
-}
-
 }  // namespace mcfpga::cache

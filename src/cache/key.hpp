@@ -1,12 +1,10 @@
-// Canonical content keys for the stage cache.
+// Canonical content keys for the design cache.
 //
-// Every compile artifact is addressed by a 64-bit digest of the inputs
-// that determine it: the multi-context DFG (structure, names, truth
-// tables), the fabric spec, and the compile options.  Per-stage keys are
-// chained — key(stage N) folds in key(stage N-1) and the stage name — so
-// an artifact's key transitively covers everything upstream of it and a
-// change anywhere invalidates exactly the suffix of the pipeline that
-// could observe it.
+// A compiled design is addressed by one 64-bit digest of the inputs that
+// determine it: the multi-context DFG (structure, names, truth tables),
+// the fabric spec, and the compile options.  The key covers every field
+// that can change a compile result, so any change to an input is a new
+// key and a full compile (tests/test_cache.cpp flips every field).
 //
 // Worker-count knobs (placer/router num_threads) are deliberately NOT
 // hashed: the placer and router contract is bit-identical results for any
@@ -15,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "core/flow.hpp"
 
@@ -37,12 +34,9 @@ std::uint64_t hash_fabric_spec(const arch::FabricSpec& spec);
 /// Excludes placer.num_threads and router.num_threads (see file comment).
 std::uint64_t hash_compile_options(const core::CompileOptions& options);
 
-/// Root of a flow's key chain: netlist x spec x options.
+/// The key of a compile: netlist x spec x options.
 std::uint64_t flow_base_key(const netlist::MultiContextNetlist& netlist,
                             const arch::FabricSpec& spec,
                             const core::CompileOptions& options);
-
-/// Advances the chain across one stage: combine(prev, H(stage name)).
-std::uint64_t stage_key(std::uint64_t prev, std::string_view stage_name);
 
 }  // namespace mcfpga::cache

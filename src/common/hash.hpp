@@ -4,9 +4,9 @@
 // decomposed into bytes least-significant first before it touches the
 // state, and floating-point values go through their IEEE-754 bit pattern,
 // so a given value sequence digests to the same 64-bit key on any
-// platform, compiler, or build mode.  The content-addressed stage cache
-// (src/cache/) keys every pipeline artifact with digests built here, so
-// this stability is what makes cached artifacts shareable across machines
+// platform, compiler, or build mode.  The content-addressed design cache
+// (src/cache/) keys every compiled design with digests built here, so
+// this stability is what makes cached designs shareable across machines
 // and auditable offline.
 //
 // Known-answer vectors (checked by tests/test_common.cpp):

@@ -10,7 +10,7 @@
 //
 // Rows are copy-on-write: copying a Bitstream shares its row storage (a
 // refcount bump, however many rows), and add_row()/append() clone the
-// storage only when another Bitstream still shares it.  A stage-cache hit
+// storage only when another Bitstream still shares it.  A design-cache hit
 // therefore hands out a design's bitstream without copying a row.  Shared
 // storage is never mutated, so copies may be read from several threads.
 #pragma once

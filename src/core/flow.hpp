@@ -121,14 +121,15 @@ struct ContextStats {
   std::size_t interleave_requeues = 0;
 };
 
-/// Stage-cache and delta-recompile accounting of the compile that produced
-/// a design.  All-zero (the default) for plain uncached compile() calls;
-/// cache::CompileService fills it from the compile's own stage lookups, its
-/// ArtifactCache counters and, on the delta path, from the edit diff.
+/// Design-cache and delta-recompile accounting of the compile that
+/// produced a design.  All-zero (the default) for plain uncached compile()
+/// calls; cache::CompileService fills it from the compile's own lookup,
+/// its ArtifactCache counters and, on the delta path, from the edit diff.
 struct CacheStats {
-  /// This compile's stage lookups (never another concurrent compile's):
-  std::size_t hits = 0;       ///< Stage artifacts served from cache.
-  std::size_t misses = 0;     ///< Stage lookups that ran the stage.
+  /// This compile's one lookup (never another concurrent compile's); both
+  /// stay 0 on the delta path, which neither looks up nor stores:
+  std::size_t hits = 0;       ///< 1 = the design came from the cache.
+  std::size_t misses = 0;     ///< 1 = the pipeline ran and was stored.
   std::size_t evictions = 0;  ///< LRU evictions so far (cache lifetime).
   std::size_t interned_patterns = 0;   ///< Distinct live ContextPatterns.
   std::size_t pattern_dedup_hits = 0;  ///< Pattern stores folded into one.
@@ -206,7 +207,7 @@ struct CompiledDesign {
   /// Per-stage wall-clock of the pipeline that produced this design.
   std::vector<StageTiming> stage_timings;
 
-  /// Stage-cache / delta-recompile accounting (all-zero when the design
+  /// Design-cache / delta-recompile accounting (all-zero when the design
   /// was compiled without a cache).
   CacheStats cache;
 

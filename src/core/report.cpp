@@ -71,9 +71,9 @@ void print_design_report(std::ostream& os, const CompiledDesign& design) {
   const CacheStats& cs = design.cache;
   if (cs.hits + cs.misses + cs.evictions != 0 || cs.delta ||
       !cs.delta_fallback.empty() || !cs.delta_fallback_counts.empty()) {
-    Table cache({"stage cache", "value"});
-    cache.add_row({"stage hits", fmt_count(cs.hits)});
-    cache.add_row({"stage misses", fmt_count(cs.misses)});
+    Table cache({"design cache", "value"});
+    cache.add_row({"design hits", fmt_count(cs.hits)});
+    cache.add_row({"design misses", fmt_count(cs.misses)});
     cache.add_row({"evictions", fmt_count(cs.evictions)});
     cache.add_row({"interned patterns", fmt_count(cs.interned_patterns)});
     cache.add_row({"pattern dedup hits", fmt_count(cs.pattern_dedup_hits)});

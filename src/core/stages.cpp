@@ -297,13 +297,6 @@ void size_fabric_and_build_graph(FlowContext& ctx) {
   }
 }
 
-const arch::RoutingGraph& routing_graph(FlowContext& ctx) {
-  if (!ctx.graph) {
-    ctx.graph = std::make_shared<const arch::RoutingGraph>(ctx.spec);
-  }
-  return *ctx.graph;
-}
-
 std::map<std::size_t, double> logic_depth_class_criticality(FlowContext& ctx) {
   // Cache the structure for RouteStage — it depends only on the
   // clustering, not on any placement.
@@ -421,7 +414,7 @@ void RouteStage::run(FlowContext& ctx) const {
   ctx.sink_keys = std::move(ft.sink_keys);
   ctx.flow_timing.reset();  // contents were moved out; the cache is spent
 
-  const route::Router router(routing_graph(ctx), ctx.options.router);
+  const route::Router router(*ctx.graph, ctx.options.router);
   ctx.nets_per_context = build_route_nets(ctx);
   // The history carry only matters when the loop will route again; the
   // extra output does not perturb the routing itself.
@@ -565,7 +558,7 @@ std::size_t append_lb_rows(config::Bitstream& bitstream,
 
 void ProgramStage::run(FlowContext& ctx) const {
   const std::size_t n = ctx.spec.num_contexts;
-  const arch::RoutingGraph& graph = routing_graph(ctx);
+  const arch::RoutingGraph& graph = *ctx.graph;
 
   ctx.program.switch_patterns = ctx.routing.switch_patterns;
   for (std::size_t k = 0; k < ctx.clusters.size(); ++k) {
@@ -640,16 +633,7 @@ void run_pipeline(FlowContext& ctx,
                           stage->name() + "'");
     }
     const auto start = clock::now();
-    // The cache hook may satisfy the whole stage from stored artifacts;
-    // only a miss runs the stage and publishes what it computed.
-    const bool hit =
-        ctx.cache != nullptr && ctx.cache->before_stage(stage->name(), ctx);
-    if (!hit) {
-      stage->run(ctx);
-      if (ctx.cache != nullptr) {
-        ctx.cache->after_stage(stage->name(), ctx);
-      }
-    }
+    stage->run(ctx);
     const std::chrono::duration<double> elapsed = clock::now() - start;
     ctx.stage_timings.push_back(StageTiming{stage->name(), elapsed.count()});
     if (ctx.observer != nullptr) {

@@ -12,8 +12,7 @@
 //   SharingStage    -> ctx.sharing, ctx.uses
 //   PlaneAllocStage -> ctx.planes
 //   ClusterStage    -> ctx.clusters, slot maps, I/O terminal tables
-//   PlaceStage      -> ctx.spec (auto-grown), ctx.graph (see
-//                      routing_graph()), ctx.placement
+//   PlaceStage      -> ctx.spec (auto-grown), ctx.graph, ctx.placement
 //   RouteStage      -> ctx.nets_per_context, ctx.timing_specs,
 //                      ctx.net_class, ctx.sink_keys, ctx.routing
 //   TimingStage     -> ctx.timing_reports, ctx.context_stats
@@ -67,22 +66,6 @@ struct PlacementBuild {
 
 struct FlowContext;
 
-/// Content-addressed stage-cache hook (implemented by cache::FlowCache).
-/// run_pipeline() consults it around every stage: before_stage() may
-/// satisfy the stage from cached artifacts (returning true skips the
-/// stage), and after_stage() lets a freshly computed artifact be
-/// published.  core/ defines only the seam; the cache itself lives in
-/// src/cache/ and depends on core/, not the other way around.
-class StageCacheHook {
- public:
-  virtual ~StageCacheHook() = default;
-  /// Advances the context's key chain across `stage` and, on a hit,
-  /// restores the stage's outputs into `ctx`.  True = stage satisfied.
-  virtual bool before_stage(const char* stage, FlowContext& ctx) = 0;
-  /// Publishes the outputs `stage` just computed (called only on a miss).
-  virtual void after_stage(const char* stage, FlowContext& ctx) = 0;
-};
-
 /// Stage-boundary observer: progress streaming plus cooperative
 /// cancellation / deadline budgets for long-running services
 /// (serve/daemon).  run_pipeline() — and the delta-recompile driver's
@@ -90,11 +73,16 @@ class StageCacheHook {
 /// from on_stage_start aborts the flow with FlowCancelled, which is the
 /// ONLY way a compile stops early, so a job can never be killed halfway
 /// through mutating shared state.
+///
+/// cache::CompileService::compile starts one step named "cache" before
+/// its design-cache lookup.  A hit finishes it and is the compile's only
+/// step; a miss abandons it without a done call (as a delta fallback
+/// abandons its open block) and reports the pipeline's stages.
 class StageObserver {
  public:
   virtual ~StageObserver() = default;
-  /// Called before each stage runs (cache hit or miss).  Return false to
-  /// abandon the flow (run_pipeline throws FlowCancelled).
+  /// Called before each stage runs.  Return false to abandon the flow
+  /// (run_pipeline throws FlowCancelled).
   virtual bool on_stage_start(const char* stage) = 0;
   /// Called after each stage with its wall-clock seconds.
   virtual void on_stage_done(const char* stage, double seconds) = 0;
@@ -132,10 +120,7 @@ struct FlowContext {
   std::size_t num_terminals = 0;
 
   // --- PlaceStage ---------------------------------------------------------
-  /// Deterministic in the grown spec.  PlaceStage builds it; a place cache
-  /// hit restores only the spec and leaves it null, and routing_graph()
-  /// builds it on first use by a stage that actually runs, so a flow
-  /// satisfied entirely from cache never builds one.
+  /// Deterministic in the grown spec; PlaceStage builds it.
   std::shared_ptr<const arch::RoutingGraph> graph;
   place::Placement placement;
   /// Logical connection structure cached by PlaceStage in timing mode (it
@@ -183,20 +168,8 @@ struct FlowContext {
 
   // --- bookkeeping --------------------------------------------------------
   std::vector<StageTiming> stage_timings;
-
-  // --- stage cache (src/cache/) -------------------------------------------
-  /// Not owned; null = uncached compile (the default for compile()).
-  StageCacheHook* cache = nullptr;
   /// Not owned; null = no progress/cancellation hooks (the default).
   StageObserver* observer = nullptr;
-  /// Rolling per-stage content key (cache/key.hpp chain), maintained by
-  /// the hook; meaningless while cache_key_valid is false.
-  std::uint64_t cache_key = 0;
-  bool cache_key_valid = false;
-  /// This flow's own stage lookups, counted by the hook (a shared cache's
-  /// global counters also see every concurrent flow's lookups).
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
 };
 
 /// One pipeline stage.  Stages are stateless; all state lives in the
@@ -273,11 +246,6 @@ void apply_class_criticality(PlacementBuild& build,
 /// FlowError otherwise), and (re)builds ctx.graph.
 void size_fabric_and_build_graph(FlowContext& ctx);
 
-/// ctx.graph, built from ctx.spec first when it is null (after a place or
-/// closure cache hit).  The graph is deterministic in the grown spec, so a
-/// restored spec plus this call reproduces PlaceStage's physical world.
-const arch::RoutingGraph& routing_graph(FlowContext& ctx);
-
 /// The pre-route timing prior PlaceStage folds into net weights in placer
 /// timing mode: per driver class, the worst unit-switch (logic depth) STA
 /// criticality over its connections and contexts.  Fills ctx.flow_timing
@@ -316,7 +284,8 @@ FlowContext make_flow_context(const netlist::MultiContextNetlist& netlist,
 /// The standard eight-stage sequence, as static instances.
 const std::vector<const Stage*>& default_pipeline();
 
-/// Runs `stages` over `ctx` in order, appending one StageTiming each.
+/// Runs `stages` over `ctx` in order, appending one StageTiming each and
+/// reporting each stage to ctx.observer.
 void run_pipeline(FlowContext& ctx, const std::vector<const Stage*>& stages);
 
 /// Moves the finished artifacts out of `ctx` into a CompiledDesign.

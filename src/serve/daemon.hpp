@@ -11,16 +11,17 @@
 // the request names a completed base job — with a StageObserver that
 //   - checks the session's cancel flag and deadline budget at every stage
 //     boundary (cooperative: a job is never killed mid-mutation), and
-//   - streams one encoded progress frame per finished stage (Progress).
+//   - streams one encoded progress frame per finished stage (Progress);
+//     a cache hit finishes one stage, "cache".
 // Completion fires Finish / Cancel / Deadline / Fail; the reply frame is
 // appended after every progress frame, so a session's frame stream reads
 // progress*, reply.  The worker renders a finished job's reply frame
 // before taking the daemon's lock, which only moves the frame into the
 // stream.
 //
-// Repeat jobs hit the shared FlowCache (bit-identical artifact replay),
-// and recently completed designs are retained — bounded — so later
-// requests can delta-recompile from them by name.  Per-job memory is
+// Repeat jobs hit the shared FlowCache (one lookup, a bit-identical
+// design replay), and recently completed designs are retained — bounded —
+// so later requests can delta-recompile from them by name.  Per-job memory is
 // bounded too: a job drops its inputs once compiled, and wait() hands its
 // frame stream out once, after which only the job's final FSM state
 // remains.  Determinism contract: the reply bitstream for a given request

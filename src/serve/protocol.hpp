@@ -109,6 +109,8 @@ struct CompileReply {
   std::string job;
   Status status = Status::kFailed;
   std::string error;  ///< kFailed only: what() of the terminating error.
+  /// The job's own design-cache lookup: 1/0 for a repeat, 0/1 for a
+  /// cold compile, 0/0 for a delta-path recompile (which stores nothing).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   bool delta = false;           ///< Served by the delta-recompile path.

@@ -1,14 +1,17 @@
-// Tests for the content-addressed stage cache and the delta-recompile
+// Tests for the content-addressed design cache and the delta-recompile
 // driver (src/cache/): cache-enabled compiles are bit-identical to
-// uncached ones (cold and warm, across timing modes and closure), cache
-// hits are shared across worker counts, the LRU bounds hold, pattern
-// interning refcounts compose with eviction, concurrent hits restore
-// correctly while evictions land mid-restore, and delta recompiles of
-// edited netlists stay functionally correct with full-recompile QoR.
+// uncached ones (cold and warm, across timing modes and closure), each
+// compile is one lookup and a hit one observer step, cache hits are
+// shared across worker counts, the LRU bounds hold, pattern interning
+// refcounts compose with eviction, concurrent hits restore correctly while
+// evictions land mid-restore, every input field is keyed, and delta
+// recompiles of edited netlists stay functionally correct with
+// full-recompile QoR while storing nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -247,14 +250,14 @@ TEST(StageCache, ColdAndWarmCompilesMatchUncachedBitForBit) {
     const Compiled cold = service.compile(nl, spec, opts);
     expect_same_design(plain, cold.design);
     EXPECT_EQ(cold.design.cache.hits, 0u);
-    EXPECT_GT(cold.design.cache.misses, 0u);
+    EXPECT_EQ(cold.design.cache.misses, 1u);
 
     const Compiled warm = service.compile(nl, spec, opts);
     expect_same_design(plain, warm.design);
     EXPECT_EQ(warm.design.cache.misses, 0u)
         << "closure=" << opts.closure_iterations;
-    EXPECT_EQ(warm.design.cache.hits,
-              opts.closure_iterations >= 2 ? 6u : 8u);
+    EXPECT_EQ(warm.design.cache.hits, 1u);
+    EXPECT_EQ(warm.placement_problem_hash, cold.placement_problem_hash);
   }
 }
 
@@ -274,59 +277,87 @@ TEST(StageCache, HitsAreSharedAcrossWorkerCounts) {
   const Compiled warm = service.compile(nl, spec, parallel);
   // Worker counts never change results, so they are excluded from the
   // content keys: the parallel compile is a pure replay.
+  EXPECT_EQ(warm.design.cache.hits, 1u);
   EXPECT_EQ(warm.design.cache.misses, 0u);
   expect_same_design(cold.design, warm.design);
 }
 
 // --- cheap hits --------------------------------------------------------------
 
-core::FlowContext cached_flow(FlowCache& cache,
-                              const netlist::MultiContextNetlist& nl,
-                              const arch::FabricSpec& spec,
-                              std::size_t num_stages = 8) {
-  core::FlowContext ctx = core::make_flow_context(nl, spec, {});
-  cache.attach(ctx);
-  const auto& pipeline = core::default_pipeline();
-  core::run_pipeline(ctx, {pipeline.begin(), pipeline.begin() + num_stages});
-  return ctx;
+/// Records the steps a compile reports; optionally refuses to start one.
+class StepLog final : public core::StageObserver {
+ public:
+  bool on_stage_start(const char* stage) override {
+    started.emplace_back(stage);
+    return !cancel;
+  }
+  void on_stage_done(const char* stage, double /*seconds*/) override {
+    done.emplace_back(stage);
+  }
+
+  bool cancel = false;
+  std::vector<std::string> started;
+  std::vector<std::string> done;
+};
+
+std::vector<std::string> timing_names(const core::CompiledDesign& d) {
+  std::vector<std::string> names;
+  for (const core::StageTiming& t : d.stage_timings) {
+    if (t.name.find('.') == std::string::npos) {  // skip sub-timings
+      names.push_back(t.name);
+    }
+  }
+  return names;
 }
 
-TEST(StageCache, FullHitBuildsNoGraphAndSharesBitstreamRows) {
+TEST(StageCache, AHitIsOneCacheStepAndAMissThePipelinesStages) {
   const auto nl = four_context_workload();
   const auto spec = small_spec();
-  FlowCache cache;
-  const core::FlowContext cold = cached_flow(cache, nl, spec);
-  EXPECT_EQ(cold.cache_misses, 8u);
-  EXPECT_NE(cold.graph, nullptr);
+  CompileService service;
+  const std::vector<std::string> stages = {
+      "tech_map", "sharing", "plane_alloc", "cluster",
+      "place",    "route",   "timing",      "program"};
 
-  const core::FlowContext first = cached_flow(cache, nl, spec);
-  const core::FlowContext second = cached_flow(cache, nl, spec);
-  EXPECT_EQ(first.cache_hits, 8u);
-  EXPECT_EQ(first.cache_misses, 0u);
-  // A place hit restores the grown spec only; no stage ran to need a graph.
-  EXPECT_EQ(first.graph, nullptr);
-  EXPECT_EQ(first.spec.width, cold.spec.width);
-  EXPECT_EQ(first.spec.height, cold.spec.height);
-  // Both hits hand out the artifact's one restored bitstream: no row copy.
-  EXPECT_TRUE(first.full_bitstream.shares_rows_with(second.full_bitstream));
-  EXPECT_FALSE(first.full_bitstream.shares_rows_with(cold.full_bitstream));
-  EXPECT_EQ(config::to_text(first.full_bitstream),
-            config::to_text(cold.full_bitstream));
+  StepLog cold_log;
+  const Compiled cold = service.compile(nl, spec, {}, &cold_log);
+  // The lookup's step is abandoned on a miss: no done, no timing entry.
+  EXPECT_EQ(cold_log.done, stages);
+  EXPECT_EQ(timing_names(cold.design), stages);
+
+  StepLog warm_log;
+  const Compiled warm = service.compile(nl, spec, {}, &warm_log);
+  const std::vector<std::string> cache_step = {"cache"};
+  EXPECT_EQ(warm_log.started, cache_step);
+  EXPECT_EQ(warm_log.done, cache_step);
+  EXPECT_EQ(timing_names(warm.design), cache_step);
+
+  // The step is the hit's cancellation point.
+  StepLog refuse;
+  refuse.cancel = true;
+  EXPECT_THROW(service.compile(nl, spec, {}, &refuse), FlowCancelled);
+  EXPECT_TRUE(refuse.done.empty());
 }
 
-TEST(StageCache, StageAfterAPlaceHitBuildsTheGraphOnDemand) {
-  // Publish tech_map..place only, so the next flow hits through place and
-  // then runs route (which needs the graph the place hit did not build).
+TEST(StageCache, FullHitRunsNoStageAndSharesBitstreamRows) {
   const auto nl = four_context_workload();
   const auto spec = small_spec();
-  FlowCache cache;
-  cached_flow(cache, nl, spec, 5);
-  core::FlowContext ctx = cached_flow(cache, nl, spec);
-  EXPECT_EQ(ctx.cache_hits, 5u);
-  EXPECT_EQ(ctx.cache_misses, 3u);
-  EXPECT_NE(ctx.graph, nullptr);
-  expect_same_design(core::compile(nl, spec),
-                     core::finalize_design(std::move(ctx)));
+  CompileService service;
+  const Compiled cold = service.compile(nl, spec);
+  const Compiled first = service.compile(nl, spec);
+  const Compiled second = service.compile(nl, spec);
+  EXPECT_EQ(first.design.cache.hits, 1u);
+  EXPECT_EQ(first.design.cache.misses, 0u);
+  EXPECT_EQ(first.design.fabric.width, cold.design.fabric.width);
+  EXPECT_EQ(first.design.fabric.height, cold.design.fabric.height);
+  // Both hits hand out the design's one restored bitstream: no row copy.
+  EXPECT_TRUE(first.design.full_bitstream.shares_rows_with(
+      second.design.full_bitstream));
+  EXPECT_FALSE(first.design.full_bitstream.shares_rows_with(
+      cold.design.full_bitstream));
+  EXPECT_EQ(config::to_text(first.design.full_bitstream),
+            config::to_text(cold.design.full_bitstream));
+  EXPECT_EQ(first.design.program.switch_patterns,
+            cold.design.program.switch_patterns);
 }
 
 /// Placement, routing and bitstream of a design, as one comparable string.
@@ -353,8 +384,8 @@ std::string fingerprint(const core::CompiledDesign& d) {
 
 TEST(StageCache, ConcurrentHitsSurviveEvictionsMidRestore) {
   // Four threads repeat three warmed designs while a fifth publishes fresh
-  // ones into a cache that holds about one design, so entries are evicted
-  // while other threads restore from them.  Every result must equal a
+  // ones into a cache that holds one design, so entries are evicted while
+  // other threads restore from them.  Every result must equal a
   // serial, uncached compile bit for bit.
   const auto spec = small_spec();
   core::CompileOptions opts;
@@ -376,7 +407,7 @@ TEST(StageCache, ConcurrentHitsSurviveEvictionsMidRestore) {
   }
 
   IncrementalOptions tiny;
-  tiny.limits.max_entries = 10;
+  tiny.limits.max_entries = 1;
   CompileService service(tiny);
   for (const auto& nl : warm) {
     service.compile(nl, spec, opts);
@@ -415,7 +446,7 @@ TEST(StageCache, ConcurrentHitsSurviveEvictionsMidRestore) {
     EXPECT_EQ(published[i], want_fresh[i]) << "fresh design " << i;
   }
   EXPECT_GT(service.artifacts().counters().evictions, 0u);
-  EXPECT_LE(service.artifacts().num_entries(), 10u);
+  EXPECT_LE(service.artifacts().num_entries(), 1u);
 }
 
 TEST(StageCache, ConcurrentRepeatsCountOnlyTheirOwnLookups) {
@@ -429,7 +460,7 @@ TEST(StageCache, ConcurrentRepeatsCountOnlyTheirOwnLookups) {
     std::jthread b([&] { repeats[1] = service.compile(nl, spec); });
   }
   for (const Compiled& c : repeats) {
-    EXPECT_EQ(c.design.cache.hits, 8u);
+    EXPECT_EQ(c.design.cache.hits, 1u);
     EXPECT_EQ(c.design.cache.misses, 0u);
   }
 }
@@ -437,29 +468,36 @@ TEST(StageCache, ConcurrentRepeatsCountOnlyTheirOwnLookups) {
 // --- cache bounds -----------------------------------------------------------
 
 TEST(StageCache, LruEvictionHoldsEntryBound) {
-  // Room for one pipeline's artifacts (8) but not three: the bound must
-  // hold throughout while the freshest design stays fully resident.
+  // Room for two designs but not three: the bound holds throughout, the
+  // least recently used design goes, and the freshest stays resident.
   IncrementalOptions options;
-  options.limits.max_entries = 10;
+  options.limits.max_entries = 2;
   CompileService service(options);
   const auto spec = small_spec();
   for (const std::size_t width : {6u, 8u, 10u}) {
     service.compile(four_context_workload(width), spec);
-    EXPECT_LE(service.artifacts().num_entries(), 10u);
+    EXPECT_LE(service.artifacts().num_entries(), 2u);
   }
-  EXPECT_GT(service.artifacts().counters().evictions, 0u);
-  // The freshest artifacts still replay despite the churn.
+  EXPECT_EQ(service.artifacts().counters().evictions, 1u);
   const Compiled warm = service.compile(four_context_workload(10), spec);
-  EXPECT_EQ(warm.design.cache.misses, 0u);
+  EXPECT_EQ(warm.design.cache.hits, 1u);
+  const Compiled evicted = service.compile(four_context_workload(6), spec);
+  EXPECT_EQ(evicted.design.cache.misses, 1u);
 }
 
 TEST(StageCache, ByteBoundNeverEvictsTheSoleEntry) {
   IncrementalOptions options;
-  options.limits.max_bytes = 1;  // every artifact is over budget
+  options.limits.max_bytes = 1;  // every design is over budget
   CompileService service(options);
-  service.compile(four_context_workload(), small_spec());
+  const auto spec = small_spec();
+  service.compile(four_context_workload(), spec);
+  service.compile(four_context_workload(10), spec);
   EXPECT_EQ(service.artifacts().num_entries(), 1u);
-  EXPECT_GT(service.artifacts().counters().evictions, 0u);
+  EXPECT_EQ(service.artifacts().counters().evictions, 1u);
+  // The first hit charges its materialized patterns, still alone.
+  const Compiled warm = service.compile(four_context_workload(10), spec);
+  EXPECT_EQ(warm.design.cache.hits, 1u);
+  EXPECT_EQ(service.artifacts().num_entries(), 1u);
 }
 
 // --- pattern interning ------------------------------------------------------
@@ -527,32 +565,119 @@ TEST(StageCache, CachedDesignsDedupSwitchPatterns) {
 
 // --- content keys -----------------------------------------------------------
 
-TEST(CacheKeys, DistinguishInputsAndChainStages) {
+TEST(CacheKeys, DistinguishInputs) {
   const auto nl = four_context_workload();
-  const auto other = four_context_workload(10);
   const auto spec = small_spec();
   const core::CompileOptions opts;
-
   const auto base = flow_base_key(nl, spec, opts);
-  EXPECT_NE(base, flow_base_key(other, spec, opts));
+  EXPECT_EQ(base, flow_base_key(four_context_workload(), spec, opts));
+  EXPECT_NE(base, flow_base_key(four_context_workload(10), spec, opts));
+  EXPECT_NE(base, flow_base_key(
+                      workload::retable_edit(nl, pick_lut_node(nl), 5), spec,
+                      opts));
+}
 
-  auto wider = spec;
-  wider.channel_width += 2;
-  EXPECT_NE(base, flow_base_key(nl, wider, opts));
+/// The flow key is the only identity a cached design has, so flipping any
+/// single field of the fabric spec or the compile options must change it.
+/// Only the worker counts, which never change a result, leave it alone.
+TEST(CacheKeys, EveryFieldButTheWorkerCountsChangesTheKey) {
+  const auto nl = four_context_workload();
+  const arch::FabricSpec spec = small_spec();
+  const core::CompileOptions opts;
+  const std::uint64_t base = flow_base_key(nl, spec, opts);
 
-  auto seeded = opts;
-  seeded.seed = 2;
-  EXPECT_NE(base, flow_base_key(nl, spec, seeded));
+  using SpecFlip = std::function<void(arch::FabricSpec&)>;
+  const std::vector<std::pair<const char*, SpecFlip>> spec_flips = {
+      {"width", [](auto& s) { ++s.width; }},
+      {"height", [](auto& s) { ++s.height; }},
+      {"num_contexts", [](auto& s) { s.num_contexts *= 2; }},
+      {"logic_block.base_inputs", [](auto& s) { ++s.logic_block.base_inputs; }},
+      {"logic_block.num_contexts",
+       [](auto& s) { s.logic_block.num_contexts *= 2; }},
+      {"logic_block.num_outputs", [](auto& s) { ++s.logic_block.num_outputs; }},
+      {"logic_block.control",
+       [](auto& s) { s.logic_block.control = lut::SizeControl::kGlobal; }},
+      {"channel_width", [](auto& s) { ++s.channel_width; }},
+      {"double_length_tracks", [](auto& s) { ++s.double_length_tracks; }},
+      {"switch_impl",
+       [](auto& s) { s.switch_impl = arch::SwitchImpl::kConventional; }},
+      {"rcm.rows", [](auto& s) { ++s.rcm.rows; }},
+      {"rcm.cols", [](auto& s) { ++s.rcm.cols; }},
+      {"rcm.crossings", [](auto& s) { ++s.rcm.crossings; }},
+      {"rcm.input_controllers", [](auto& s) { ++s.rcm.input_controllers; }},
+  };
+  for (const auto& [field, flip] : spec_flips) {
+    arch::FabricSpec flipped = spec;
+    flip(flipped);
+    EXPECT_NE(flow_base_key(nl, flipped, opts), base) << field;
+  }
 
-  EXPECT_NE(stage_key(base, "place"), stage_key(base, "route"));
-  EXPECT_NE(stage_key(stage_key(base, "place"), "route"),
-            stage_key(base, "route"));
+  using OptionFlip = std::function<void(core::CompileOptions&)>;
+  const std::vector<std::pair<const char*, OptionFlip>> option_flips = {
+      {"seed", [](auto& o) { ++o.seed; }},
+      {"placer.seed", [](auto& o) { ++o.placer.seed; }},
+      {"placer.sweeps", [](auto& o) { ++o.placer.sweeps; }},
+      {"placer.moves_per_sweep", [](auto& o) { ++o.placer.moves_per_sweep; }},
+      {"placer.initial_temperature_factor",
+       [](auto& o) { o.placer.initial_temperature_factor *= 2; }},
+      {"placer.cooling", [](auto& o) { o.placer.cooling /= 2; }},
+      {"placer.incremental",
+       [](auto& o) { o.placer.incremental = !o.placer.incremental; }},
+      {"placer.range_limit",
+       [](auto& o) { o.placer.range_limit = !o.placer.range_limit; }},
+      {"placer.adaptive_cooling",
+       [](auto& o) { o.placer.adaptive_cooling = !o.placer.adaptive_cooling; }},
+      {"placer.num_restarts", [](auto& o) { ++o.placer.num_restarts; }},
+      {"placer.timing_mode",
+       [](auto& o) { o.placer.timing_mode = !o.placer.timing_mode; }},
+      {"placer.timing_weight", [](auto& o) { o.placer.timing_weight *= 2; }},
+      {"router.max_iterations", [](auto& o) { ++o.router.max_iterations; }},
+      {"router.present_factor_growth",
+       [](auto& o) { o.router.present_factor_growth *= 2; }},
+      {"router.history_increment",
+       [](auto& o) { o.router.history_increment *= 2; }},
+      {"router.prefer_double_length",
+       [](auto& o) {
+         o.router.prefer_double_length = !o.router.prefer_double_length;
+       }},
+      {"router.timing_mode",
+       [](auto& o) { o.router.timing_mode = !o.router.timing_mode; }},
+      {"router.criticality_exponent_schedule.start",
+       [](auto& o) { o.router.criticality_exponent_schedule.start *= 2; }},
+      {"router.criticality_exponent_schedule.step",
+       [](auto& o) { o.router.criticality_exponent_schedule.step += 0.5; }},
+      {"router.criticality_exponent_schedule.max",
+       [](auto& o) { o.router.criticality_exponent_schedule.max *= 2; }},
+      {"router.max_criticality",
+       [](auto& o) { o.router.max_criticality /= 2; }},
+      {"router.cross_context_mode",
+       [](auto& o) {
+         o.router.cross_context_mode = route::CrossContextMode::kInterleaved;
+       }},
+      {"router.queue_mode",
+       [](auto& o) { o.router.queue_mode = route::QueueMode::kBucket; }},
+      {"delay.se_delay", [](auto& o) { o.delay.se_delay *= 2; }},
+      {"delay.lut_delay", [](auto& o) { o.delay.lut_delay *= 2; }},
+      {"auto_size", [](auto& o) { o.auto_size = !o.auto_size; }},
+      {"closure_iterations", [](auto& o) { ++o.closure_iterations; }},
+      {"closure_slack_tolerance",
+       [](auto& o) { o.closure_slack_tolerance += 0.5; }},
+      {"closure_adaptive_refine",
+       [](auto& o) {
+         o.closure_adaptive_refine = !o.closure_adaptive_refine;
+       }},
+  };
+  for (const auto& [field, flip] : option_flips) {
+    core::CompileOptions flipped = opts;
+    flip(flipped);
+    EXPECT_NE(flow_base_key(nl, spec, flipped), base) << field;
+  }
 
-  // Worker counts are result-neutral and stay out of the option hash.
-  auto threaded = opts;
+  // Worker counts are result-neutral and stay out of the key.
+  core::CompileOptions threaded = opts;
   threaded.placer.num_threads = 8;
   threaded.router.num_threads = 8;
-  EXPECT_EQ(hash_compile_options(opts), hash_compile_options(threaded));
+  EXPECT_EQ(flow_base_key(nl, spec, threaded), base);
 }
 
 // --- delta recompile --------------------------------------------------------
@@ -566,6 +691,7 @@ TEST(DeltaRecompile, ZeroEditIsAPureReplay) {
   const Compiled again = service.compile_incremental(base, nl, opts);
   EXPECT_FALSE(again.design.cache.delta);
   EXPECT_TRUE(again.design.cache.delta_fallback.empty());
+  EXPECT_EQ(again.design.cache.hits, 1u);
   EXPECT_EQ(again.design.cache.misses, 0u);
   expect_same_design(base.design, again.design);
 }
@@ -589,6 +715,32 @@ TEST(DeltaRecompile, RetableEditMatchesFullRecompileBitForBit) {
   const core::CompiledDesign full = core::compile(edited, spec, opts);
   expect_same_design(full, inc.design);
   expect_functionally_correct(inc.design, edited);
+}
+
+TEST(DeltaRecompile, RetableDeltaStoresNothing) {
+  // The delta path's design is not a full-pipeline result: its front end
+  // runs uncached, and nothing of it is looked up or stored.
+  const auto nl = four_context_workload();
+  const auto spec = small_spec();
+  CompileService service;
+  const core::CompileOptions opts;
+  const Compiled base = service.compile(nl, spec, opts);
+  const FlowCache::Stats before = service.flow_cache().stats();
+
+  const auto edited = workload::retable_edit(nl, pick_lut_node(nl), 5);
+  const Compiled inc = service.compile_incremental(base, edited, opts);
+  ASSERT_TRUE(inc.design.cache.delta) << inc.design.cache.delta_fallback;
+  EXPECT_EQ(inc.design.cache.hits, 0u);
+  EXPECT_EQ(inc.design.cache.misses, 0u);
+  const FlowCache::Stats after = service.flow_cache().stats();
+  EXPECT_EQ(after.counters.hits, before.counters.hits);
+  EXPECT_EQ(after.counters.misses, before.counters.misses);
+  EXPECT_EQ(after.counters.stores, before.counters.stores);
+  EXPECT_EQ(service.artifacts().num_entries(), 1u);
+
+  // A full compile of the edited netlist therefore misses.
+  const Compiled full = service.compile(edited, spec, opts);
+  EXPECT_EQ(full.design.cache.misses, 1u);
 }
 
 TEST(DeltaRecompile, OptionChangeFallsBackToFullCompile) {

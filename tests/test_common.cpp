@@ -1,5 +1,5 @@
 // Unit tests for the common substrate: BitVector, Rng, strings, Table,
-// and the stable FNV-1a/64 content hashing behind the stage cache.
+// and the stable FNV-1a/64 content hashing behind the design cache.
 #include <gtest/gtest.h>
 
 #include <atomic>

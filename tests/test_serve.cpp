@@ -584,15 +584,18 @@ TEST(CompileDaemon, ReplyMatchesDirectCompileAndRepeatHitsCache) {
     EXPECT_GE(first.progress[i].seconds, 0.0);
   }
 
-  // Same request again: served from the shared stage cache, still
-  // byte-identical.
+  // Same request again: served from the shared design cache, still
+  // byte-identical, and its progress is the hit's single cache step.
   const std::uint64_t b =
       client.submit(ServeClient::make_request("job-b", netlist, spec, options));
   const ServeClient::Outcome second = client.wait(b);
   ASSERT_EQ(second.reply.status, CompileReply::Status::kDone);
   EXPECT_EQ(second.reply.bitstream_text, want);
-  EXPECT_GT(second.reply.cache_hits, 0u);
+  EXPECT_EQ(second.reply.cache_hits, 1u);
   EXPECT_EQ(second.reply.cache_misses, 0u);
+  ASSERT_EQ(second.progress.size(), 1u);
+  EXPECT_EQ(second.progress[0].stage, "cache");
+  EXPECT_EQ(second.progress[0].job, "job-b");
 
   const CompileDaemon::Stats stats = daemon.stats();
   EXPECT_EQ(stats.submitted, 2u);
@@ -656,8 +659,8 @@ TEST(CompileDaemon, ConcurrentRepeatsReportOnlyTheirOwnCacheLookups) {
       client.submit(ServeClient::make_request("warm", netlist, spec, {}));
   ASSERT_EQ(client.wait(warm).reply.status, CompileReply::Status::kDone);
 
-  // Two repeats in flight together: each reply counts its own eight
-  // stage hits, never the other job's.
+  // Two repeats in flight together: each reply counts its own hit, never
+  // the other job's.
   const std::uint64_t a =
       client.submit(ServeClient::make_request("a", netlist, spec, {}));
   const std::uint64_t b =
@@ -665,7 +668,7 @@ TEST(CompileDaemon, ConcurrentRepeatsReportOnlyTheirOwnCacheLookups) {
   for (const std::uint64_t id : {a, b}) {
     const ServeClient::Outcome out = client.wait(id);
     ASSERT_EQ(out.reply.status, CompileReply::Status::kDone);
-    EXPECT_EQ(out.reply.cache_hits, 8u);
+    EXPECT_EQ(out.reply.cache_hits, 1u);
     EXPECT_EQ(out.reply.cache_misses, 0u);
   }
 }
