@@ -1,8 +1,8 @@
 #include "area/area_model.hpp"
 
+#include <cstdint>
 #include <unordered_map>
 
-#include "common/bitvector.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "config/context_id.hpp"
@@ -26,11 +26,11 @@ AreaBreakdown AreaModel::rcm_switch_block(
   const DeviceLibrary& rcm = options.rcm_library;
   AreaBreakdown area;
 
-  std::unordered_map<BitVector, bool, BitVectorHash> seen;
+  std::unordered_map<std::uint64_t, bool> seen;
   for (const auto& row : block_rows.rows()) {
     const bool share = options.share_identical_patterns;
     if (share) {
-      const auto it = seen.find(row.pattern.values());
+      const auto it = seen.find(row.pattern.word());
       if (it != seen.end()) {
         // Inter-row redundancy: reuse the existing network's generated bit
         // through a tap (track crossing + routing pass-gate).
@@ -40,7 +40,7 @@ AreaBreakdown AreaModel::rcm_switch_block(
         }
         continue;
       }
-      seen.emplace(row.pattern.values(), true);
+      seen.emplace(row.pattern.word(), true);
     }
     const rcm::DecoderNetwork net = rcm::synthesize_decoder(row.pattern);
     // SE storage/mux/pass split: an SE is 2 SRAM + mux2 + pass-gate; we

@@ -537,9 +537,9 @@ Compiled CompileService::compile(const netlist::MultiContextNetlist& netlist,
   // a miss abandons the step and runs the whole pipeline.
   observe_start(observer, "cache");
   const Clock::time_point start = Clock::now();
-  if (const FlowCache::Hit hit = cache_.find(key)) {
-    out.design = hit.design();
-    out.placement_problem_hash = hit.value->placement_problem_hash;
+  if (const auto hit = cache_.find(key)) {
+    out.design = hit->design;  // the bitstream shares the stored rows
+    out.placement_problem_hash = hit->placement_problem_hash;
     push_timing(out.design.stage_timings, "cache", start);
     observe_done(observer, "cache", start);
     fill_cache_stats(out.design, 1, 0);
@@ -898,8 +898,6 @@ void CompileService::fill_cache_stats(core::CompiledDesign& design,
   design.cache.hits = hits;
   design.cache.misses = misses;
   design.cache.evictions = now.counters.evictions;
-  design.cache.interned_patterns = now.live_patterns;
-  design.cache.pattern_dedup_hits = now.pattern_dedup_hits;
   design.cache.delta_fallback_counts = fallback_reasons();
 }
 

@@ -123,7 +123,6 @@ class CompileService {
                                core::StageObserver* observer = nullptr);
 
   const ArtifactCache& artifacts() const { return cache_.artifacts(); }
-  const PatternInterner& patterns() const { return cache_.patterns(); }
   FlowCache& flow_cache() { return cache_; }
 
   /// Service-lifetime delta-fallback breakdown (reason -> count).

@@ -8,26 +8,20 @@
 // enforce it), and a miss runs the pipeline and stores the design it
 // produced.
 //
-// Stored designs are immutable value snapshots.  Switch patterns and
-// bitstream rows go through the PatternInterner, so a corpus of cached
-// designs stores each distinct ContextPattern once; artifacts hold
-// refcounted ids (PatternSet) and release them when evicted.  The interned
-// ids stay the stored form: the first hit on a design materializes its
-// patterns once into a shared immutable snapshot, and every later hit
-// copies from that snapshot (sharing its bitstream rows outright,
-// config::Bitstream being copy-on-write).
+// A stored design is an immutable copy of the compiled design, patterns
+// and all: a ContextPattern is one 16-byte word (config/pattern.hpp), so
+// the switch patterns and bitstream rows are stored by value.  The store
+// copies the design once; its bitstream shares the compiled design's rows
+// (config::Bitstream is copy-on-write), and so does every hit's copy.
 //
-// Thread safety: the store and interner themselves are not thread-safe,
-// so one mutex guards them.  find() holds it only for the map lookup
-// (plus the one-time materialization), store() only for interning and
-// storing.  A hit copies the design out of interner-free shared_ptr
-// snapshots with the mutex released, so the serve daemon's concurrent jobs
-// restore in parallel from ONE shared cache; a design evicted mid-restore
-// stays alive until its reader drops it.  Artifacts holding interner ids
-// are only ever released under the mutex.
+// Thread safety: one mutex guards the LRU map, held only for the lookup
+// in find() and the insertion in store().  A hit copies the design out of
+// its shared_ptr<const DesignArtifact> with the mutex released, so the
+// serve daemon's concurrent jobs restore in parallel from ONE shared
+// cache; a design evicted mid-restore stays alive until its reader drops
+// it.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -41,45 +35,27 @@ class FlowCache {
   explicit FlowCache(ArtifactCache::Limits limits = {})
       : artifacts_(limits) {}
 
-  /// What a hit reads of a stored design.  Both parts are interner-free,
-  /// so they stay valid after the lock is released.
-  struct Hit {
-    std::shared_ptr<const DesignArtifact::Value> value;
-    std::shared_ptr<const DesignArtifact::Patterns> patterns;
+  /// The design stored under `key` (null on a miss), counting a hit or a
+  /// miss.  Copy the design out of it with no lock held.
+  std::shared_ptr<const DesignArtifact> find(std::uint64_t key);
 
-    explicit operator bool() const { return value != nullptr; }
-    /// A copy of the stored design; its bitstream shares the snapshot's
-    /// rows.  Call with no lock held.
-    core::CompiledDesign design() const;
-  };
-
-  /// Looks the design stored under `key` up, counting a hit or a miss.
-  Hit find(std::uint64_t key);
-
-  /// Stores `design` (a full-pipeline result) and its placement-problem
-  /// hash under `key`, interning its switch patterns and bitstream rows.
+  /// Stores a copy of `design` (a full-pipeline result) and its
+  /// placement-problem hash under `key`.
   void store(std::uint64_t key, const core::CompiledDesign& design,
              std::uint64_t placement_problem_hash);
 
-  /// Consistent locked snapshot of the store + interner counters, safe to
-  /// call while other threads compile (the accessors below are not).
+  /// Consistent locked snapshot of the store's counters, safe to call
+  /// while other threads compile (artifacts() is not).
   struct Stats {
     ArtifactCache::Counters counters;
-    std::size_t live_patterns = 0;
-    std::size_t pattern_dedup_hits = 0;
   };
   Stats stats() const;
 
   /// Direct access for single-threaded callers (tests, benches).
   const ArtifactCache& artifacts() const { return artifacts_; }
-  const PatternInterner& patterns() const { return interner_; }
 
  private:
   mutable std::mutex mu_;
-  // Declaration order is load-bearing: cached artifacts hold PatternSets
-  // that release interner ids from their destructors, so the interner
-  // must be destroyed AFTER the artifact store.
-  PatternInterner interner_;
   ArtifactCache artifacts_;
 };
 

@@ -1,10 +1,11 @@
-// Dynamic bit vector used for LUT truth tables, configuration planes and
-// bitstream storage.  std::vector<bool> is avoided on purpose: BitVector
-// exposes word-level access (needed by the redundancy statistics, which
-// popcount whole planes) and has unambiguous copy/compare semantics.
+// Dynamic bit vector used for LUT truth tables and configuration planes.
+// std::vector<bool> is avoided on purpose: BitVector exposes word-level
+// access (needed by the redundancy statistics, which popcount whole
+// planes) and has unambiguous copy/compare semantics.
 //
-// Vectors of up to 64 bits (every ContextPattern, most LUT tables) keep
-// their word inline, so creating or copying one never allocates.
+// Vectors of up to 64 bits (the truth table of any LUT of up to six
+// inputs) keep their word inline, so creating or copying one never
+// allocates.
 #pragma once
 
 #include <cstddef>
@@ -62,7 +63,7 @@ class BitVector {
     return {data(), num_words()};
   }
 
-  /// FNV-1a hash over the significant bits (usable as an unordered_map key).
+  /// FNV-1a hash over the significant bits and the size.
   std::size_t hash() const;
 
  private:
@@ -83,11 +84,6 @@ class BitVector {
   /// The bits when size_ <= kInlineBits; else 0.
   std::uint64_t inline_ = 0;
   std::size_t size_ = 0;
-};
-
-/// Hash functor so BitVector can key unordered containers.
-struct BitVectorHash {
-  std::size_t operator()(const BitVector& v) const { return v.hash(); }
 };
 
 }  // namespace mcfpga

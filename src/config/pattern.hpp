@@ -14,11 +14,9 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
+#include <cstdint>
 #include <string>
 #include <vector>
-
-#include "common/bitvector.hpp"
 
 namespace mcfpga::config {
 
@@ -30,13 +28,20 @@ enum class PatternClass {
 
 std::string to_string(PatternClass cls);
 
-/// The value of one configuration bit in each context.
+/// The value of one configuration bit in each context, as one machine word:
+/// bit c of word() holds the value in context c, and the bits at or above
+/// num_contexts() are zero.  Context counts are powers of two in [2, 64]
+/// (is_valid_context_count), so every pattern fits one uint64_t, and the
+/// patterns of one context count are equal iff their words are (maps over
+/// a bitstream's rows key them by word()).
 class ContextPattern {
  public:
   /// All-`value` pattern over `num_contexts` contexts.
   explicit ContextPattern(std::size_t num_contexts, bool value = false);
-  /// From explicit per-context values (index = context number).
-  explicit ContextPattern(BitVector values);
+  /// From the context-value word; its bits at or above `num_contexts`
+  /// must be zero.
+  static ContextPattern from_word(std::size_t num_contexts,
+                                  std::uint64_t word);
   /// Parses "1000"-style strings written MSB-first like the paper's figures:
   /// "1000" means (C3,C2,C1,C0) = (1,0,0,0).
   static ContextPattern from_string(const std::string& msb_first);
@@ -44,22 +49,26 @@ class ContextPattern {
   static ContextPattern for_id_bit(std::size_t num_contexts, std::size_t bit,
                                    bool inverted);
 
-  std::size_t num_contexts() const { return values_.size(); }
-  bool value_in(std::size_t context) const { return values_.get(context); }
+  std::size_t num_contexts() const { return num_contexts_; }
+  bool value_in(std::size_t context) const;
   void set_value(std::size_t context, bool value);
-  const BitVector& values() const { return values_; }
+  std::uint64_t word() const { return word_; }
 
   /// Paper-style MSB-first rendering: (C3..C0)=(1,0,0,0) -> "1000".
   std::string to_string() const;
 
-  bool operator==(const ContextPattern& o) const {
-    return values_ == o.values_;
-  }
-  bool operator!=(const ContextPattern& o) const { return !(*this == o); }
+  bool operator==(const ContextPattern&) const = default;
 
  private:
-  BitVector values_;
+  std::uint64_t word_ = 0;
+  std::size_t num_contexts_ = 0;
 };
+
+// Cached designs store their switch patterns and bitstream rows by value.
+// With a 40-byte pattern (a general BitVector) that raised perfbench
+// cold_flow's peak RSS by ~60%, from 66 to 100-111 MB (4-core host).
+static_assert(sizeof(ContextPattern) <= 16,
+              "a ContextPattern is one word plus its context count");
 
 /// Result of classifying a pattern.
 struct PatternInfo {

@@ -1,6 +1,7 @@
 #include "config/stats.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <unordered_map>
 
 #include "common/error.hpp"
@@ -17,7 +18,7 @@ BitstreamStats compute_stats(const Bitstream& bitstream) {
     return stats;
   }
 
-  std::unordered_map<BitVector, std::size_t, BitVectorHash> groups;
+  std::unordered_map<std::uint64_t, std::size_t> groups;
   for (const auto& row : bitstream.rows()) {
     const PatternInfo info = classify(row.pattern);
     switch (info.cls) {
@@ -31,7 +32,7 @@ BitstreamStats compute_stats(const Bitstream& bitstream) {
         ++stats.complex_rows;
         break;
     }
-    ++groups[row.pattern.values()];
+    ++groups[row.pattern.word()];
     ++stats.period_histogram[smallest_period(row.pattern)];
   }
 

@@ -131,8 +131,6 @@ struct CacheStats {
   std::size_t hits = 0;       ///< 1 = the design came from the cache.
   std::size_t misses = 0;     ///< 1 = the pipeline ran and was stored.
   std::size_t evictions = 0;  ///< LRU evictions so far (cache lifetime).
-  std::size_t interned_patterns = 0;   ///< Distinct live ContextPatterns.
-  std::size_t pattern_dedup_hits = 0;  ///< Pattern stores folded into one.
   /// Delta path only (compile_incremental that did not fall back):
   bool delta = false;                  ///< Design came from the delta path.
   std::size_t nets_invalidated = 0;    ///< Summed over contexts.

@@ -210,7 +210,7 @@ SubPattern to_subpattern(const config::ContextPattern& pattern) {
   const std::size_t k = config::num_id_bits(n);
   SubPattern p;
   p.mask = (k == 64) ? ~std::uint64_t{0} : (std::uint64_t{1} << k) - 1;
-  p.word = pattern.values().to_word();
+  p.word = pattern.word();
   return p;
 }
 

@@ -300,10 +300,9 @@ void CompileDaemon::finalize_locked(const std::shared_ptr<Session>& session,
 std::shared_ptr<const cache::Compiled> CompileDaemon::find_completed(
     const std::string& job) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  // Newest first, so resubmitting a job name shadows older results.
-  for (auto it = completed_.rbegin(); it != completed_.rend(); ++it) {
-    if (it->first == job) {
-      return it->second;
+  for (const auto& [name, design] : completed_) {
+    if (name == job) {
+      return design;
     }
   }
   return nullptr;
@@ -317,6 +316,15 @@ void CompileDaemon::retain_completed(const std::string& job,
   std::vector<std::shared_ptr<const cache::Compiled>> evicted;
   {
     const std::lock_guard<std::mutex> lock(mu_);
+    // A resubmitted job name replaces its older design, so one name takes
+    // one slot and never pushes other names' delta bases out.
+    const auto old = std::find_if(
+        completed_.begin(), completed_.end(),
+        [&](const auto& entry) { return entry.first == job; });
+    if (old != completed_.end()) {
+      evicted.push_back(std::move(old->second));
+      completed_.erase(old);
+    }
     completed_.emplace_back(job, std::move(retained));
     while (completed_.size() > options_.max_completed) {
       evicted.push_back(std::move(completed_.front().second));

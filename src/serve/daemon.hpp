@@ -58,7 +58,8 @@ struct DaemonOptions {
   std::size_t workers = 2;
   /// Passed through to the shared cache::CompileService.
   cache::IncrementalOptions service{};
-  /// Completed designs retained (FIFO) as delta-recompile bases.
+  /// Completed designs retained (FIFO, one per job name) as
+  /// delta-recompile bases.
   std::size_t max_completed = 8;
 };
 
@@ -155,7 +156,8 @@ class CompileDaemon {
   std::map<std::uint64_t, std::shared_ptr<Session>> sessions_;
   /// Jobs whose stream wait() handed out: only the final state remains.
   std::map<std::uint64_t, SessionState> finished_;
-  /// Recently completed designs, FIFO-bounded by max_completed.
+  /// Recently completed designs, at most one per job name (a resubmitted
+  /// name moves to the back), FIFO-bounded by max_completed.
   std::deque<std::pair<std::string, std::shared_ptr<const cache::Compiled>>>
       completed_;
   std::uint64_t next_id_ = 1;

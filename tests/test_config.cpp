@@ -2,9 +2,12 @@
 // classification (Figs. 3-5), bitstreams and redundancy statistics (Table 1).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "config/bitstream.hpp"
 #include "config/context_id.hpp"
 #include "config/pattern.hpp"
@@ -60,6 +63,78 @@ TEST(ContextPattern, ForIdBitMatchesTable2) {
 TEST(ContextPattern, RejectsBadContextCounts) {
   EXPECT_THROW(ContextPattern(3), InvalidArgument);
   EXPECT_THROW(ContextPattern::from_string("101"), InvalidArgument);
+}
+
+// The word's edges: 32 contexts, and 64, where every bit of the word is a
+// context and the all-ones mask cannot be computed as (1 << n) - 1.
+TEST(ContextPattern, WordEdgesClassify) {
+  for (const std::size_t n : {std::size_t{32}, std::size_t{64}}) {
+    SCOPED_TRACE(n);
+    for (const bool value : {false, true}) {
+      const PatternInfo info = classify(ContextPattern(n, value));
+      EXPECT_EQ(info.cls, PatternClass::kConstant);
+      EXPECT_EQ(info.constant_value, value);
+    }
+    for (std::size_t b = 0; b < num_id_bits(n); ++b) {
+      for (const bool inverted : {false, true}) {
+        const auto p = ContextPattern::for_id_bit(n, b, inverted);
+        for (std::size_t c = 0; c < n; ++c) {
+          ASSERT_EQ(p.value_in(c), id_bit_value(c, b) != inverted) << c;
+        }
+        const PatternInfo info = classify(p);
+        EXPECT_EQ(info.cls, PatternClass::kSingleBit) << b;
+        EXPECT_EQ(info.id_bit, b);
+        EXPECT_EQ(info.inverted, inverted);
+      }
+    }
+  }
+}
+
+TEST(ContextPattern, WordEdgesSetAndRoundTrip) {
+  for (const std::size_t n : {std::size_t{32}, std::size_t{64}}) {
+    SCOPED_TRACE(n);
+    ContextPattern last(n);
+    last.set_value(n - 1, true);
+    EXPECT_TRUE(last.value_in(n - 1));
+    EXPECT_FALSE(last.value_in(n - 2));
+    EXPECT_EQ(last.to_string(), "1" + std::string(n - 1, '0'));
+    EXPECT_EQ(classify(last).cls, PatternClass::kComplex);
+    last.set_value(n - 1, false);
+    EXPECT_EQ(last, ContextPattern(n));
+    EXPECT_THROW(last.value_in(n), InvalidArgument);
+    EXPECT_THROW(last.set_value(n, true), InvalidArgument);
+
+    Rng rng(n);
+    for (int i = 0; i < 200; ++i) {
+      const auto p = ContextPattern::from_word(n, rng.next_u64() >> (64 - n));
+      const std::string text = p.to_string();
+      ASSERT_EQ(text.size(), n);
+      EXPECT_EQ(ContextPattern::from_string(text), p) << text;
+    }
+  }
+  EXPECT_THROW(ContextPattern::from_word(32, std::uint64_t{1} << 32),
+               InvalidArgument);
+}
+
+TEST(ContextPattern, FromStringChecksTheWidthFirst) {
+  for (const std::size_t width : {3u, 65u, 1000000u}) {
+    // The bad character would fail a per-character check; the width
+    // check must fire before it.
+    const std::string text = "2" + std::string(width - 1, '0');
+    try {
+      ContextPattern::from_string(text);
+      ADD_FAILURE() << "accepted " << width << " characters";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("context count"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::string bad(64, '1');
+  bad[17] = '2';
+  EXPECT_THROW(ContextPattern::from_string(bad), InvalidArgument);
+  EXPECT_EQ(ContextPattern::from_string(std::string(64, '1')),
+            ContextPattern(64, true));
 }
 
 TEST(Classify, ConstantPatterns) {

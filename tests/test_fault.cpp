@@ -41,10 +41,10 @@ TEST(FaultInjection, StuckAtForcesWholeRow) {
   const Bitstream golden = small_stream();
   const Bitstream s0 =
       inject_fault(golden, Fault{FaultKind::kStuckAt0, 2, 0});
-  EXPECT_TRUE(s0.row(2).pattern.values().all_equal(false));
+  EXPECT_EQ(s0.row(2).pattern.word(), 0u);
   const Bitstream s1 =
       inject_fault(golden, Fault{FaultKind::kStuckAt1, 1, 0});
-  EXPECT_TRUE(s1.row(1).pattern.values().all_equal(true));
+  EXPECT_EQ(s1.row(1).pattern.word(), 0xFu);
 }
 
 TEST(FaultInjection, RangeChecks) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "config/serialize.hpp"
 #include "config/stats.hpp"
 #include "workload/bitstream_gen.hpp"
@@ -37,6 +39,26 @@ TEST(Serialize, RoundTripsLargeGeneratedStream) {
   for (std::size_t c = 0; c < 8; ++c) {
     EXPECT_EQ(parsed.plane(c), original.plane(c));
   }
+}
+
+TEST(Serialize, RoundTripsSixtyFourContexts) {
+  // 64 contexts fill the pattern word: every bit of it must survive.
+  Bitstream original(64);
+  Rng rng(64);
+  for (std::size_t r = 0; r < 64; ++r) {
+    original.add_row("r" + std::to_string(r), ResourceKind::kLutBit,
+                     ContextPattern::from_word(64, rng.next_u64()));
+  }
+  original.add_row("ones", ResourceKind::kControlBit,
+                   ContextPattern(64, true));
+  const std::string text = to_text(original);
+  const Bitstream parsed = from_text(text);
+  ASSERT_EQ(parsed.num_rows(), original.num_rows());
+  EXPECT_EQ(parsed.num_contexts(), 64u);
+  for (std::size_t r = 0; r < original.num_rows(); ++r) {
+    EXPECT_EQ(parsed.row(r).pattern, original.row(r).pattern) << r;
+  }
+  EXPECT_EQ(to_text(parsed), text);
 }
 
 TEST(Serialize, FormatIsStable) {

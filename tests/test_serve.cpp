@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/incremental.hpp"
@@ -732,6 +733,46 @@ TEST(CompileDaemon, DeltaRecompileFromBaseJob) {
   EXPECT_EQ(out.reply.delta_fallback, want.design.cache.delta_fallback);
   EXPECT_EQ(out.reply.bitstream_text,
             config::to_text(want.design.full_bitstream));
+}
+
+TEST(CompileDaemon, ResubmittedJobNameKeepsOtherDeltaBases) {
+  // Two retained designs: "a", then "b" twice.  The second "b" replaces
+  // the first instead of pushing "a" out, so "a" still serves as a base.
+  const auto netlist = small_workload();
+  const auto other = workload::pipeline_workload(4, 6);
+  const auto spec = small_spec();
+  core::CompileOptions options;
+  options.seed = 5;
+  const auto edited =
+      workload::retable_edit(netlist, pick_lut_node(netlist), 123);
+
+  cache::CompileService direct;
+  const cache::Compiled base = direct.compile(netlist, spec, options);
+  const cache::Compiled want =
+      direct.compile_incremental(base, edited, options);
+
+  DaemonOptions daemon_options;
+  daemon_options.workers = 1;
+  daemon_options.max_completed = 2;
+  CompileDaemon daemon(daemon_options);
+  ServeClient client(daemon);
+  for (const auto& [job, nl] :
+       {std::pair{"a", &netlist}, std::pair{"b", &other},
+        std::pair{"b", &other}}) {
+    const std::uint64_t id =
+        client.submit(ServeClient::make_request(job, *nl, spec, options));
+    ASSERT_EQ(client.wait(id).reply.status, CompileReply::Status::kDone)
+        << job;
+  }
+  EXPECT_EQ(daemon.stats().retained_designs, 2u);
+  const std::uint64_t delta = client.submit(ServeClient::make_request(
+      "edit", edited, spec, options, 0, "a"));
+  const ServeClient::Outcome out = client.wait(delta);
+  ASSERT_EQ(out.reply.status, CompileReply::Status::kDone) << out.reply.error;
+  EXPECT_EQ(out.reply.delta, want.design.cache.delta);
+  EXPECT_EQ(out.reply.bitstream_text,
+            config::to_text(want.design.full_bitstream));
+  EXPECT_LE(daemon.stats().retained_designs, 2u);
 }
 
 TEST(CompileDaemon, UnknownBaseJobFailsThatJobOnly) {
