@@ -16,9 +16,11 @@
 # books from the library's observer steps).  The TSan lane also runs the
 # design-cache and daemon test suites, whose concurrent-hit stress tests
 # restore from the shared cache while other threads publish into it and
-# evict from it, and the cross-context routing suite, whose worker-count
-# determinism tests fan the independent baseline out over threads in both
-# cross-context modes.
+# evict from it, and whose graph-slot test compiles on two fabrics from
+# eight threads, so the service's one held routing graph is replaced while
+# other compiles still read the graph it held; and the cross-context
+# routing suite, whose worker-count determinism tests fan the independent
+# baseline out over threads in both cross-context modes.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-check)
 set -euo pipefail
@@ -43,7 +45,8 @@ echo "--- sanitizer (TSan) bench smoke + cache/daemon/routing tests ---"
 # designs and the serial-vs-parallel section route with one worker per
 # hardware thread), the daemon smoke runs the compile service's worker
 # threads, test_cache / test_serve run concurrent cache hits against
-# publishes and evictions (the lock-free restore path), and
+# publishes and evictions (the lock-free restore path) and concurrent
+# compiles that share and replace the service's routing graph, and
 # test_route_schedule routes the independent baseline on up to 8 workers
 # before the interleaved pass takes over the same pooled cores — the
 # places real concurrency lives.

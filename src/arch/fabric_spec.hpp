@@ -48,6 +48,9 @@ struct FabricSpec {
 
   /// One-line summary for reports.
   std::string describe() const;
+
+  /// Field-by-field equality: the key core::GraphSlot holds graphs by.
+  bool operator==(const FabricSpec&) const = default;
 };
 
 }  // namespace mcfpga::arch

@@ -10,7 +10,6 @@
 
 #include "cache/key.hpp"
 #include "common/error.hpp"
-#include "common/hash.hpp"
 #include "config/context_id.hpp"
 #include "core/closure.hpp"
 #include "core/timing_build.hpp"
@@ -22,6 +21,17 @@ namespace mcfpga::cache {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Fall back to a full compile when more than this fraction of DFG nodes
+/// changed (union over contexts).
+constexpr double kMaxDiffFraction = 0.25;
+/// Fall back when more than this fraction of route nets lost their
+/// previous trees after ECO placement: the partial route would do most of
+/// a full route.
+constexpr double kMaxInvalidatedFraction = 0.6;
+/// Additive present-congestion cost pinned onto every wire node a kept
+/// net occupies, so re-routed nets detour around the kept trees.
+constexpr double kKeepPressure = 1e6;
 
 void push_timing(std::vector<core::StageTiming>& timings, const char* name,
                  Clock::time_point start) {
@@ -44,41 +54,6 @@ void observe_done(core::StageObserver* observer, const char* stage,
     observer->on_stage_done(
         stage, std::chrono::duration<double>(Clock::now() - start).count());
   }
-}
-
-/// Content hash of the effective placement problem: structure, weights,
-/// and the criticalities the flow would anneal under.  Placement is a
-/// pure function of (problem, grown fabric, placer options, seed), so
-/// matching hashes — with the fabric and options separately verified —
-/// let the delta path reuse the previous placement verbatim.
-std::uint64_t hash_placement_problem(const core::PlacementBuild& build) {
-  common::Hasher h;
-  const place::PlacementProblem& p = build.problem;
-  h.size(p.num_clusters).size(p.num_io_terminals).size(p.nets.size());
-  for (const place::PlacementNet& net : p.nets) {
-    h.u64(static_cast<std::uint64_t>(net.driver.kind))
-        .size(net.driver.id)
-        .size(net.weight)
-        .f64(net.criticality)
-        .size(net.sinks.size());
-    for (const place::Terminal& t : net.sinks) {
-      h.u64(static_cast<std::uint64_t>(t.kind)).size(t.id);
-    }
-  }
-  return h.digest();
-}
-
-/// Builds the effective placement problem of a clustered context (the
-/// same weighting PlaceStage would apply) and returns it with its hash.
-std::pair<core::PlacementBuild, std::uint64_t> effective_placement_problem(
-    core::FlowContext& ctx) {
-  core::PlacementBuild build = core::build_placement_problem(ctx);
-  if (ctx.options.placer.timing_mode) {
-    core::apply_class_criticality(build,
-                                  core::logic_depth_class_criticality(ctx));
-  }
-  const std::uint64_t hash = hash_placement_problem(build);
-  return {std::move(build), hash};
 }
 
 /// Canonical "source|sorted sinks" identity of a physical net; empty when
@@ -547,10 +522,11 @@ Compiled CompileService::compile(const netlist::MultiContextNetlist& netlist,
   }
 
   ctx.observer = observer;
+  ctx.graph_slot = &graph_slot_;
   core::run_pipeline(ctx, options.closure_iterations >= 2
                               ? core::closure_pipeline()
                               : core::default_pipeline());
-  out.placement_problem_hash = effective_placement_problem(ctx).second;
+  out.placement_problem_hash = ctx.placement_problem_hash;
   out.design = core::finalize_design(std::move(ctx));
   cache_.store(key, out.design, out.placement_problem_hash);
   fill_cache_stats(out.design, 0, 1);
@@ -599,7 +575,7 @@ Compiled CompileService::compile_incremental(
     // Bit-for-bit the previous design: let the design cache replay it.
     return compile(edited, previous.spec, options, observer);
   }
-  if (diff.fraction() > options_.max_diff_fraction) {
+  if (diff.fraction() > kMaxDiffFraction) {
     return fallback(previous, edited, options, "diff exceeds threshold",
                     observer);
   }
@@ -627,6 +603,7 @@ Compiled CompileService::compile_incremental(
   core::FlowContext ctx =
       core::make_flow_context(edited, previous.spec, options);
   ctx.observer = observer;
+  ctx.graph_slot = &graph_slot_;
   const auto& pipeline = core::default_pipeline();
   core::run_pipeline(
       ctx, std::vector<const core::Stage*>(pipeline.begin(),
@@ -646,7 +623,9 @@ Compiled CompileService::compile_incremental(
   // Both skip the whole cold anneal.  Placement is a pure function of the
   // problem, so reusing it for an unchanged problem keeps the design
   // bit-identical to a from-scratch compile.
-  auto [build, problem_hash] = effective_placement_problem(ctx);
+  const core::PlacementBuild build = core::annealed_placement_problem(ctx);
+  const std::uint64_t problem_hash =
+      core::hash_placement_problem(build.problem);
   // The cold anneal's budget, with place::place's default sweep length.
   const std::size_t moves_per_sweep =
       options.placer.moves_per_sweep != 0
@@ -724,8 +703,7 @@ Compiled CompileService::compile_incremental(
   }
   if (total_nets > 0 &&
       static_cast<double>(total_invalidated) >
-          options_.max_invalidated_fraction *
-              static_cast<double>(total_nets)) {
+          kMaxInvalidatedFraction * static_cast<double>(total_nets)) {
     return fallback(previous, edited, options, "too many nets invalidated",
                     observer);
   }
@@ -774,12 +752,10 @@ Compiled CompileService::compile_incremental(
           for (const arch::EdgeId e : path.edges) {
             const arch::RREdge& edge = graph.edge(e);
             if (is_wire(graph, edge.from)) {
-              pressure[static_cast<std::size_t>(edge.from)] =
-                  options_.keep_pressure;
+              pressure[static_cast<std::size_t>(edge.from)] = kKeepPressure;
             }
             if (is_wire(graph, edge.to)) {
-              pressure[static_cast<std::size_t>(edge.to)] =
-                  options_.keep_pressure;
+              pressure[static_cast<std::size_t>(edge.to)] = kKeepPressure;
             }
           }
         }

@@ -22,6 +22,12 @@
 // ordinary compile(), recorded in CacheStats::delta_fallback.  The delta
 // path itself neither looks up nor stores a design.
 //
+// Every compile a service runs (full, delta, closure, a fallback, each
+// daemon worker's) takes its routing graph from the service's one
+// core::GraphSlot when the grown fabric spec equals the held graph's, and
+// builds and holds a new one otherwise.  A chain of delta edits on one
+// fabric therefore builds its graph once, not once per edit.
+//
 // The delta path is single-threaded by construction, so its results are
 // deterministic for any worker-count setting; the full path inherits the
 // placer/router bit-identical-for-any-thread-count contract.
@@ -35,25 +41,17 @@
 
 #include "cache/stage_cache.hpp"
 #include "core/flow.hpp"
+#include "core/graph_slot.hpp"
 #include "core/stages.hpp"
 
 namespace mcfpga::cache {
 
-/// Delta-path policy.  Placement has no knobs: ECO placement is a
-/// deterministic matching, not an anneal.
+/// Compile-service policy: the bounds of the design store.  The delta
+/// path has no knobs: ECO placement is a deterministic matching, and its
+/// fallback thresholds and kept-net pressure are constants in
+/// incremental.cpp.
 struct IncrementalOptions {
-  /// Bounds of the design store.
   ArtifactCache::Limits limits{};
-  /// Fall back to full recompile when more than this fraction of DFG
-  /// nodes changed (union over contexts).
-  double max_diff_fraction = 0.25;
-  /// Fall back when more than this fraction of route nets lost their
-  /// previous trees after ECO placement (the partial route would do most
-  /// of a full route).
-  double max_invalidated_fraction = 0.6;
-  /// Additive present-congestion cost pinned onto every wire node a kept
-  /// net occupies, so re-routed nets detour around the kept trees.
-  double keep_pressure = 1e6;
 };
 
 /// Node-level difference between two multi-context netlists.
@@ -92,16 +90,16 @@ struct Compiled {
 
 /// Thread safety: compile() and compile_incremental() may be called from
 /// several threads at once against one service (the serve daemon does) —
-/// the shared FlowCache locks only its own lookups/stores, and the
-/// fallback-reason ledger has its own lock.  A design's cache.hits /
-/// cache.misses count its own compile's lookup only: 1/0 for a hit, 0/1
-/// for a miss, 0/0 for a delta-path recompile.  Results stay bit-identical
+/// the shared FlowCache locks only its own lookups/stores, the graph slot
+/// only its comparison, and the fallback-reason ledger has its own lock.
+/// A design's cache.hits / cache.misses count its own compile's lookup
+/// only: 1/0 for a hit, 0/1 for a miss, 0/0 for a delta-path recompile.  Results stay bit-identical
 /// to single-threaded calls because every compile is a pure function of
 /// its inputs and cache hits restore bit-identical snapshots.
 class CompileService {
  public:
   explicit CompileService(IncrementalOptions options = {})
-      : options_(options), cache_(options.limits) {}
+      : cache_(options.limits) {}
 
   /// One design-cache lookup, then the full pipeline on a miss (whose
   /// design is stored).  `observer` (optional, not owned) sees a hit as
@@ -124,6 +122,9 @@ class CompileService {
 
   const ArtifactCache& artifacts() const { return cache_.artifacts(); }
   FlowCache& flow_cache() { return cache_; }
+  /// The routing graph every compile of this service shares when its
+  /// grown fabric matches (core/graph_slot.hpp).
+  core::GraphSlot& graph_slot() { return graph_slot_; }
 
   /// Service-lifetime delta-fallback breakdown (reason -> count).
   std::map<std::string, std::size_t> fallback_reasons() const;
@@ -138,8 +139,8 @@ class CompileService {
   void fill_cache_stats(core::CompiledDesign& design, std::size_t hits,
                         std::size_t misses) const;
 
-  IncrementalOptions options_;
   FlowCache cache_;
+  core::GraphSlot graph_slot_;
   mutable std::mutex fallback_mu_;
   std::map<std::string, std::size_t> fallback_reasons_;
 };

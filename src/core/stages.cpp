@@ -6,7 +6,9 @@
 #include <unordered_set>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "config/context_id.hpp"
+#include "core/graph_slot.hpp"
 #include "core/timing_build.hpp"
 #include "route/router_core.hpp"
 #include "mapping/context_merge.hpp"
@@ -258,6 +260,34 @@ PlacementBuild build_placement_problem(const FlowContext& ctx) {
   return out;
 }
 
+PlacementBuild annealed_placement_problem(FlowContext& ctx) {
+  PlacementBuild build = build_placement_problem(ctx);
+  // Pre-route timing-driven weighting: with no routing yet, the honest
+  // criticality is logic depth — the unit-switch STA prior.  Worst
+  // criticality over a class's connections and contexts bumps its
+  // placement net, pulling deep paths tight before the router sees them.
+  if (ctx.options.placer.timing_mode) {
+    apply_class_criticality(build, logic_depth_class_criticality(ctx));
+  }
+  return build;
+}
+
+std::uint64_t hash_placement_problem(const place::PlacementProblem& p) {
+  common::Hasher h;
+  h.size(p.num_clusters).size(p.num_io_terminals).size(p.nets.size());
+  for (const place::PlacementNet& net : p.nets) {
+    h.u64(static_cast<std::uint64_t>(net.driver.kind))
+        .size(net.driver.id)
+        .size(net.weight)
+        .f64(net.criticality)
+        .size(net.sinks.size());
+    for (const place::Terminal& t : net.sinks) {
+      h.u64(static_cast<std::uint64_t>(t.kind)).size(t.id);
+    }
+  }
+  return h.digest();
+}
+
 void apply_class_criticality(PlacementBuild& build,
                              const std::map<std::size_t, double>& by_class) {
   for (std::size_t i = 0; i < build.problem.nets.size(); ++i) {
@@ -291,7 +321,9 @@ void size_fabric_and_build_graph(FlowContext& ctx) {
                     std::to_string(ctx.spec.num_cells()) +
                     " cells available");
   }
-  ctx.graph = std::make_shared<const arch::RoutingGraph>(ctx.spec);
+  ctx.graph = ctx.graph_slot != nullptr
+                  ? ctx.graph_slot->acquire(ctx.spec)
+                  : std::make_shared<const arch::RoutingGraph>(ctx.spec);
   if (ctx.graph->num_pads() < ctx.num_terminals) {
     throw FlowError("fabric has too few I/O pads");
   }
@@ -326,15 +358,9 @@ std::map<std::size_t, double> logic_depth_class_criticality(FlowContext& ctx) {
 void PlaceStage::run(FlowContext& ctx) const {
   size_fabric_and_build_graph(ctx);
 
-  PlacementBuild build = build_placement_problem(ctx);
-  place::PlacementProblem& prob = build.problem;
-  // Pre-route timing-driven weighting: with no routing yet, the honest
-  // criticality is logic depth — the unit-switch STA prior.  Worst
-  // criticality over a class's connections and contexts bumps its
-  // placement net, pulling deep paths tight before the router sees them.
-  if (ctx.options.placer.timing_mode) {
-    apply_class_criticality(build, logic_depth_class_criticality(ctx));
-  }
+  PlacementBuild build = annealed_placement_problem(ctx);
+  const place::PlacementProblem& prob = build.problem;
+  ctx.placement_problem_hash = hash_placement_problem(prob);
   place::PlacerOptions placer_options = ctx.options.placer;
   // Default the placer seed from the flow seed only when the caller left it
   // unset, so placement can be varied independently of the rest of the flow.

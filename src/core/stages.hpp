@@ -12,7 +12,8 @@
 //   SharingStage    -> ctx.sharing, ctx.uses
 //   PlaneAllocStage -> ctx.planes
 //   ClusterStage    -> ctx.clusters, slot maps, I/O terminal tables
-//   PlaceStage      -> ctx.spec (auto-grown), ctx.graph, ctx.placement
+//   PlaceStage      -> ctx.spec (auto-grown), ctx.graph, ctx.placement,
+//                      ctx.placement_problem_hash
 //   RouteStage      -> ctx.nets_per_context, ctx.timing_specs,
 //                      ctx.net_class, ctx.sink_keys, ctx.routing
 //   TimingStage     -> ctx.timing_reports, ctx.context_stats
@@ -39,6 +40,7 @@
 
 namespace mcfpga::core {
 
+class GraphSlot;    // core/graph_slot.hpp
 struct FlowTiming;  // core/timing_build.hpp
 
 /// Logical sink of one routed connection, placement-independent: the
@@ -120,9 +122,16 @@ struct FlowContext {
   std::size_t num_terminals = 0;
 
   // --- PlaceStage ---------------------------------------------------------
-  /// Deterministic in the grown spec; PlaceStage builds it.
+  /// Deterministic in the grown spec.  PlaceStage takes it from
+  /// graph_slot when one is set and holds this spec's graph, and builds it
+  /// otherwise (size_fabric_and_build_graph).  Read-only, so compiles that
+  /// share one graph may read it concurrently.
   std::shared_ptr<const arch::RoutingGraph> graph;
   place::Placement placement;
+  /// hash_placement_problem of the problem PlaceStage annealed (its first
+  /// run, before any closure re-place): what a delta recompile compares
+  /// to reuse the placement verbatim.
+  std::uint64_t placement_problem_hash = 0;
   /// Logical connection structure cached by PlaceStage in timing mode (it
   /// is placement-independent); RouteStage consumes and clears it,
   /// building its own when absent.
@@ -170,6 +179,10 @@ struct FlowContext {
   std::vector<StageTiming> stage_timings;
   /// Not owned; null = no progress/cancellation hooks (the default).
   StageObserver* observer = nullptr;
+  /// Not owned; null = every compile builds its own graph (the default,
+  /// as in core::compile).  cache::CompileService points it at the slot
+  /// it keeps between compiles.
+  GraphSlot* graph_slot = nullptr;
 };
 
 /// One pipeline stage.  Stages are stateless; all state lives in the
@@ -233,6 +246,18 @@ class ProgramStage : public Stage {
 /// ClusterStage (used by PlaceStage and by closure-loop re-placement).
 PlacementBuild build_placement_problem(const FlowContext& ctx);
 
+/// The problem PlaceStage anneals: build_placement_problem with, in placer
+/// timing mode, the logic-depth criticalities folded in (which fills
+/// ctx.flow_timing).  The delta-recompile driver builds the same problem
+/// for its ECO placement.
+PlacementBuild annealed_placement_problem(FlowContext& ctx);
+
+/// Content hash of a placement problem: structure, weights and
+/// criticalities.  Placement is a pure function of (problem, grown fabric,
+/// placer options, seed), so equal hashes, with the fabric and options
+/// checked separately, let a delta recompile reuse a placement verbatim.
+std::uint64_t hash_placement_problem(const place::PlacementProblem& problem);
+
 /// Overwrites every net's criticality from the per-class map (0 for
 /// absent classes), so a PlacementBuild can be reused across closure
 /// iterations.  Shared by PlaceStage (pre-route logic depth) and the
@@ -243,7 +268,9 @@ void apply_class_criticality(PlacementBuild& build,
 /// PlaceStage's fabric-sizing step, exposed for the delta-recompile
 /// driver: auto-grows ctx.spec (square-ish) until clusters and I/O
 /// terminals fit (options.auto_size), validates capacity (throws
-/// FlowError otherwise), and (re)builds ctx.graph.
+/// FlowError otherwise), and sets ctx.graph to the grown spec's graph:
+/// ctx.graph_slot's (GraphSlot::acquire) when the slot is set, else a
+/// graph built for this context alone.
 void size_fabric_and_build_graph(FlowContext& ctx);
 
 /// The pre-route timing prior PlaceStage folds into net weights in placer

@@ -31,6 +31,8 @@ struct LogicBlockSpec {
   std::size_t num_contexts = 4;
   std::size_t num_outputs = 2;
   SizeControl control = SizeControl::kLocal;
+
+  bool operator==(const LogicBlockSpec&) const = default;
 };
 
 class LogicBlock {

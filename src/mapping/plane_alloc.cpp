@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "config/context_id.hpp"
@@ -14,57 +15,93 @@ struct ModeFit {
   lut::LutMode mode;
   std::size_t used_bits = 0;
   std::size_t duplicated_bits = 0;
-  std::vector<std::vector<std::size_t>> entry_planes;
 };
 
 std::size_t log2_exact(std::size_t v) {
   return static_cast<std::size_t>(std::countr_zero(v));
 }
 
-/// Tests whether `uses` can cohabit one slot in a `p`-plane mode.
-std::optional<ModeFit> try_mode(const std::vector<ClassUse>& uses,
-                                std::size_t base_inputs,
-                                std::size_t num_contexts, std::size_t p) {
-  const std::size_t k =
-      base_inputs + log2_exact(num_contexts) - log2_exact(p);
-  ModeFit fit;
-  fit.mode = lut::LutMode{k, p};
-  std::vector<std::size_t> plane_claim(p, SIZE_MAX);
+/// The planes `contexts` occupy under `p`-plane selection as a bit mask:
+/// bit (c mod p) for every context c.  p is at most 64.
+std::uint64_t plane_mask(const std::vector<std::size_t>& contexts,
+                         std::size_t p) {
+  std::uint64_t mask = 0;
+  for (const std::size_t c : contexts) {
+    mask |= std::uint64_t{1} << (c & (p - 1));
+  }
+  return mask;
+}
 
-  // The slot's entries share the LUT's physical input pins, so the union
-  // of their fanin signals must fit the mode's input count.
-  std::vector<std::size_t> pin_union;
-  for (const ClassUse& use : uses) {
-    for (const std::size_t f : use.fanin_classes) {
-      if (std::find(pin_union.begin(), pin_union.end(), f) ==
-          pin_union.end()) {
-        pin_union.push_back(f);
+/// One (slot, candidate use) probe: the slot's entries, read in place,
+/// plus the use that would join them.  Mode-independent facts are computed
+/// once per probe; try_mode then tests each plane count against them.
+class Probe {
+ public:
+  /// `pins` is caller-owned scratch, reused across probes.
+  Probe(const std::vector<SlotEntry>& entries, const ClassUse& use,
+        std::vector<std::size_t>& pins)
+      : entries_(entries), use_(use) {
+    // The slot's entries share the LUT's physical input pins, so the
+    // union of their fanin signals must fit the mode's input count.
+    pins.clear();
+    const auto add_pins = [&pins](const ClassUse& u) {
+      for (const std::size_t f : u.fanin_classes) {
+        if (std::find(pins.begin(), pins.end(), f) == pins.end()) {
+          pins.push_back(f);
+        }
       }
+    };
+    for (const SlotEntry& e : entries_) {
+      add_pins(e.use);
+      max_arity_ = std::max(max_arity_, e.use.arity);
     }
-  }
-  if (pin_union.size() > k) {
-    return std::nullopt;
+    add_pins(use_);
+    max_arity_ = std::max(max_arity_, use_.arity);
+    num_pins_ = pins.size();
   }
 
-  for (std::size_t e = 0; e < uses.size(); ++e) {
-    const ClassUse& use = uses[e];
-    if (use.arity > k) {
+  /// Tests whether the entries and the use can cohabit one slot in a
+  /// `p`-plane mode.
+  std::optional<ModeFit> try_mode(std::size_t base_inputs,
+                                  std::size_t num_contexts,
+                                  std::size_t p) const {
+    const std::size_t k =
+        base_inputs + log2_exact(num_contexts) - log2_exact(p);
+    if (num_pins_ > k || max_arity_ > k) {
       return std::nullopt;
     }
-    std::vector<std::size_t> planes = planes_of(use.contexts, p);
-    for (const std::size_t plane : planes) {
-      if (plane_claim[plane] != SIZE_MAX) {
-        return std::nullopt;  // plane already taken by another class
-      }
-      plane_claim[plane] = e;
-    }
+    ModeFit fit;
+    fit.mode = lut::LutMode{k, p};
     const std::size_t table_bits = std::size_t{1} << k;
-    fit.used_bits += planes.size() * table_bits;
-    fit.duplicated_bits += (planes.size() - 1) * table_bits;
-    fit.entry_planes.push_back(std::move(planes));
+    std::uint64_t claimed = 0;
+    const auto claim = [&](const ClassUse& u) {
+      const std::uint64_t planes = plane_mask(u.contexts, p);
+      if ((planes & claimed) != 0) {
+        return false;  // plane already taken by another class
+      }
+      claimed |= planes;
+      const auto count = static_cast<std::size_t>(std::popcount(planes));
+      fit.used_bits += count * table_bits;
+      fit.duplicated_bits += (count - 1) * table_bits;
+      return true;
+    };
+    for (const SlotEntry& e : entries_) {
+      if (!claim(e.use)) {
+        return std::nullopt;
+      }
+    }
+    if (!claim(use_)) {
+      return std::nullopt;
+    }
+    return fit;
   }
-  return fit;
-}
+
+ private:
+  const std::vector<SlotEntry>& entries_;
+  const ClassUse& use_;
+  std::size_t num_pins_ = 0;
+  std::size_t max_arity_ = 0;
+};
 
 /// All plane counts, largest first (most packing opportunity first).
 std::vector<std::size_t> plane_options(std::size_t num_contexts) {
@@ -78,21 +115,14 @@ std::vector<std::size_t> plane_options(std::size_t num_contexts) {
   return opts;
 }
 
-std::vector<ClassUse> slot_uses(const Slot& slot) {
-  std::vector<ClassUse> uses;
-  uses.reserve(slot.entries.size());
-  for (const auto& e : slot.entries) {
-    uses.push_back(e.use);
-  }
-  return uses;
-}
-
-void apply_fit(Slot& slot, const ModeFit& fit) {
+/// Adds `use` to `slot` under `fit`, re-deriving every entry's planes.
+void apply_fit(Slot& slot, const ClassUse& use, const ModeFit& fit) {
+  slot.entries.push_back(SlotEntry{use, {}});
   slot.mode = fit.mode;
   slot.used_bits = fit.used_bits;
   slot.duplicated_bits = fit.duplicated_bits;
-  for (std::size_t e = 0; e < slot.entries.size(); ++e) {
-    slot.entries[e].planes = fit.entry_planes[e];
+  for (SlotEntry& e : slot.entries) {
+    e.planes = planes_of(e.use.contexts, fit.mode.planes);
   }
 }
 
@@ -152,16 +182,20 @@ PlaneAllocation allocate_planes(const std::vector<ClassUse>& uses,
   alloc.control = control;
 
   // Shared-first, fat-first packing order.
-  std::vector<ClassUse> order = uses;
+  std::vector<const ClassUse*> order;
+  order.reserve(uses.size());
+  for (const ClassUse& use : uses) {
+    order.push_back(&use);
+  }
   std::sort(order.begin(), order.end(),
-            [](const ClassUse& a, const ClassUse& b) {
-              if (a.contexts.size() != b.contexts.size()) {
-                return a.contexts.size() > b.contexts.size();
+            [](const ClassUse* a, const ClassUse* b) {
+              if (a->contexts.size() != b->contexts.size()) {
+                return a->contexts.size() > b->contexts.size();
               }
-              if (a.arity != b.arity) {
-                return a.arity > b.arity;
+              if (a->arity != b->arity) {
+                return a->arity > b->arity;
               }
-              return a.cls < b.cls;
+              return a->cls < b->cls;
             });
 
   const std::vector<std::size_t> opts = plane_options(num_contexts);
@@ -190,69 +224,59 @@ PlaneAllocation allocate_planes(const std::vector<ClassUse>& uses,
     }
   }
 
-  for (const ClassUse& use : order) {
+  // The plane counts a slot may take: the one fabric-wide mode under
+  // global control, every mode (largest first) under local control.
+  const std::vector<std::size_t> modes =
+      global_p ? std::vector<std::size_t>{*global_p} : opts;
+  std::vector<std::size_t> pins;  // Probe scratch, reused
+  const std::vector<SlotEntry> no_entries;
+  for (const ClassUse* next : order) {
+    const ClassUse& use = *next;
     bool placed = false;
     for (std::size_t s = 0; s < alloc.slots.size() && !placed; ++s) {
       Slot& slot = alloc.slots[s];
-      std::vector<ClassUse> candidate = slot_uses(slot);
-      candidate.push_back(use);
-      if (control == lut::SizeControl::kGlobal) {
-        if (auto fit =
-                try_mode(candidate, base_inputs, num_contexts, *global_p)) {
-          slot.entries.push_back(SlotEntry{use, {}});
-          apply_fit(slot, *fit);
+      const Probe probe(slot.entries, use, pins);
+      for (const std::size_t p : modes) {
+        if (const auto fit = probe.try_mode(base_inputs, num_contexts, p)) {
+          apply_fit(slot, use, *fit);
           alloc.slot_of_class[use.cls] = s;
           placed = true;
-        }
-      } else {
-        for (const std::size_t p : opts) {
-          if (auto fit = try_mode(candidate, base_inputs, num_contexts, p)) {
-            slot.entries.push_back(SlotEntry{use, {}});
-            apply_fit(slot, *fit);
-            alloc.slot_of_class[use.cls] = s;
-            placed = true;
-            break;
-          }
+          break;
         }
       }
     }
     if (placed) {
       continue;
     }
-    // Open a new slot.
-    Slot slot;
-    slot.entries.push_back(SlotEntry{use, {}});
+    // Open a new slot.  Prefer the mode with zero duplication and the most
+    // spare planes: the largest p that maps all of this class's contexts to
+    // one plane; fall back to the largest feasible p.
+    const Probe probe(no_entries, use, pins);
     std::optional<ModeFit> fit;
-    if (control == lut::SizeControl::kGlobal) {
-      fit = try_mode({use}, base_inputs, num_contexts, *global_p);
-    } else {
-      // For a fresh slot prefer the mode with zero duplication and the most
-      // spare planes: largest p whose plane mapping is injective for this
-      // class; fall back to the largest feasible p.
-      std::optional<ModeFit> fallback;
-      for (const std::size_t p : opts) {
-        auto f = try_mode({use}, base_inputs, num_contexts, p);
-        if (!f) {
-          continue;
-        }
-        if (!fallback) {
-          fallback = f;
-        }
-        if (f->duplicated_bits == 0) {
-          fit = f;
-          break;
-        }
+    std::optional<ModeFit> fallback;
+    for (const std::size_t p : modes) {
+      const auto f = probe.try_mode(base_inputs, num_contexts, p);
+      if (!f) {
+        continue;
       }
-      if (!fit) {
-        fit = fallback;
+      if (!fallback) {
+        fallback = f;
       }
+      if (f->duplicated_bits == 0) {
+        fit = f;
+        break;
+      }
+    }
+    if (!fit) {
+      fit = fallback;
     }
     if (!fit) {
       throw FlowError("plane allocation: class of arity " +
                       std::to_string(use.arity) +
                       " does not fit any LUT mode");
     }
-    apply_fit(slot, *fit);
+    Slot slot;
+    apply_fit(slot, use, *fit);
     alloc.slot_of_class[use.cls] = alloc.slots.size();
     alloc.slots.push_back(std::move(slot));
   }

@@ -35,6 +35,8 @@ struct GridSpec {
   std::size_t derived_input_controllers() const {
     return input_controllers != 0 ? input_controllers : cols;
   }
+
+  bool operator==(const GridSpec&) const = default;
 };
 
 class RcmGrid {

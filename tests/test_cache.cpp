@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -165,6 +166,16 @@ core::FlowContext front_end(const netlist::MultiContextNetlist& nl,
   return ctx;
 }
 
+/// The placement-problem hash the delta path computes for `nl`: the same
+/// function over the problem PlaceStage would anneal on the same front end.
+std::uint64_t annealed_problem_hash(const netlist::MultiContextNetlist& nl,
+                                    const arch::FabricSpec& spec,
+                                    const core::CompileOptions& opts) {
+  core::FlowContext ctx = front_end(nl, spec, opts);
+  return core::hash_placement_problem(
+      core::annealed_placement_problem(ctx).problem);
+}
+
 /// First rewire of `nl` (nodes from pick_lut_node upward, seeds 1..16)
 /// whose front end satisfies `wanted` and still fits `base`'s fabric.
 template <class Wanted>
@@ -258,6 +269,11 @@ TEST(StageCache, ColdAndWarmCompilesMatchUncachedBitForBit) {
         << "closure=" << opts.closure_iterations;
     EXPECT_EQ(warm.design.cache.hits, 1u);
     EXPECT_EQ(warm.placement_problem_hash, cold.placement_problem_hash);
+    // The stored hash is the one PlaceStage kept, and it equals the hash
+    // the delta path computes for the same netlist.
+    EXPECT_EQ(cold.placement_problem_hash,
+              annealed_problem_hash(nl, spec, opts))
+        << "closure=" << opts.closure_iterations;
   }
 }
 
@@ -514,17 +530,11 @@ TEST(CacheKeys, DistinguishInputs) {
                       opts));
 }
 
-/// The flow key is the only identity a cached design has, so flipping any
-/// single field of the fabric spec or the compile options must change it.
-/// Only the worker counts, which never change a result, leave it alone.
-TEST(CacheKeys, EveryFieldButTheWorkerCountsChangesTheKey) {
-  const auto nl = four_context_workload();
-  const arch::FabricSpec spec = small_spec();
-  const core::CompileOptions opts;
-  const std::uint64_t base = flow_base_key(nl, spec, opts);
-
-  using SpecFlip = std::function<void(arch::FabricSpec&)>;
-  const std::vector<std::pair<const char*, SpecFlip>> spec_flips = {
+/// One single-field change per FabricSpec field.  A flip may leave the spec
+/// invalid (a context count alone, an odd double-length track count).
+using SpecFlip = std::function<void(arch::FabricSpec&)>;
+const std::vector<std::pair<const char*, SpecFlip>>& spec_field_flips() {
+  static const std::vector<std::pair<const char*, SpecFlip>> flips = {
       {"width", [](auto& s) { ++s.width; }},
       {"height", [](auto& s) { ++s.height; }},
       {"num_contexts", [](auto& s) { s.num_contexts *= 2; }},
@@ -543,7 +553,19 @@ TEST(CacheKeys, EveryFieldButTheWorkerCountsChangesTheKey) {
       {"rcm.crossings", [](auto& s) { ++s.rcm.crossings; }},
       {"rcm.input_controllers", [](auto& s) { ++s.rcm.input_controllers; }},
   };
-  for (const auto& [field, flip] : spec_flips) {
+  return flips;
+}
+
+/// The flow key is the only identity a cached design has, so flipping any
+/// single field of the fabric spec or the compile options must change it.
+/// Only the worker counts, which never change a result, leave it alone.
+TEST(CacheKeys, EveryFieldButTheWorkerCountsChangesTheKey) {
+  const auto nl = four_context_workload();
+  const arch::FabricSpec spec = small_spec();
+  const core::CompileOptions opts;
+  const std::uint64_t base = flow_base_key(nl, spec, opts);
+
+  for (const auto& [field, flip] : spec_field_flips()) {
     arch::FabricSpec flipped = spec;
     flip(flipped);
     EXPECT_NE(flow_base_key(nl, flipped, opts), base) << field;
@@ -695,6 +717,44 @@ TEST(DeltaRecompile, OptionChangeFallsBackToFullCompile) {
   EXPECT_EQ(inc.design.cache.delta_fallback, "compile options changed");
   EXPECT_TRUE(inc.design.routing.success);
   expect_functionally_correct(inc.design, edited);
+}
+
+TEST(DeltaRecompile, StoredProblemHashIsTheOneTheDeltaPathComputes) {
+  // PlaceStage keeps the hash of the problem it anneals and a compile
+  // stores it; the delta path hashes its own build of that problem with
+  // the same function.  A retable edit leaves the problem unchanged, so
+  // the hashes agree and the delta path reuses the placement verbatim.
+  const auto nl = four_context_workload();
+  const auto spec = small_spec();
+  const auto edited = workload::retable_edit(nl, pick_lut_node(nl), 5);
+  core::CompileOptions untimed;
+  core::CompileOptions timed;
+  timed.placer.timing_mode = true;
+  core::CompileOptions closure = timed;
+  closure.closure_iterations = 2;
+  for (const core::CompileOptions& opts : {untimed, timed, closure}) {
+    CompileService service;
+    const Compiled base = service.compile(nl, spec, opts);
+    const Compiled full = service.compile(edited, spec, opts);
+    ASSERT_EQ(full.design.cache.misses, 1u);
+    EXPECT_EQ(full.placement_problem_hash, base.placement_problem_hash);
+    EXPECT_EQ(full.placement_problem_hash,
+              annealed_problem_hash(edited, spec, opts));
+
+    const Compiled inc = service.compile_incremental(base, edited, opts);
+    EXPECT_EQ(inc.placement_problem_hash, full.placement_problem_hash);
+    if (opts.closure_iterations >= 2) {
+      // Closure flows take the full pipeline (here: the stored design).
+      EXPECT_EQ(inc.design.cache.delta_fallback, "closure loop requested");
+      continue;
+    }
+    ASSERT_TRUE(inc.design.cache.delta) << inc.design.cache.delta_fallback;
+    EXPECT_EQ(inc.design.placement.cluster_pos,
+              base.design.placement.cluster_pos);
+    EXPECT_EQ(inc.design.placement.io_pads, base.design.placement.io_pads);
+    EXPECT_EQ(inc.design.cache.nets_invalidated, 0u);
+    expect_same_design(full.design, inc.design);
+  }
 }
 
 TEST(DeltaRecompile, RandomEditSequencesStayCorrectWithFullQoR) {
@@ -928,6 +988,151 @@ TEST(DeltaRecompile, DeterministicForAnyWorkerCount) {
         service.compile_incremental(base, edited, opts).design);
   }
   expect_same_design(designs[0], designs[1]);
+}
+
+// --- graph slot -------------------------------------------------------------
+
+TEST(GraphSlot, DeltaEditsOnOneFabricBuildOneGraph) {
+  // The base compile builds the fabric's graph; four delta edits and a
+  // fallback on the same fabric take it from the slot.
+  const auto spec = small_spec();
+  CompileService service;
+  const core::CompileOptions opts;
+  netlist::MultiContextNetlist current = four_context_workload();
+  Compiled compiled = service.compile(current, spec, opts);
+  EXPECT_EQ(service.graph_slot().builds(), 1u);
+  for (std::size_t step = 0; step < 4; ++step) {
+    const std::size_t node = pick_lut_node(current) + step;
+    const auto edited =
+        step % 2 == 0 ? workload::retable_edit(current, node, step + 11)
+                      : workload::rewire_edit(current, node, step + 11);
+    Compiled next = service.compile_incremental(compiled, edited, opts);
+    ASSERT_TRUE(next.design.cache.delta)
+        << "step " << step << ": " << next.design.cache.delta_fallback;
+    expect_functionally_correct(next.design, edited);
+    compiled = std::move(next);
+    current = edited;
+  }
+  EXPECT_EQ(service.graph_slot().builds(), 1u);
+
+  core::CompileOptions reseeded = opts;
+  reseeded.seed = 99;
+  const auto edited =
+      workload::retable_edit(current, pick_lut_node(current), 5);
+  const Compiled fallback =
+      service.compile_incremental(compiled, edited, reseeded);
+  ASSERT_EQ(fallback.design.cache.delta_fallback, "compile options changed");
+  ASSERT_EQ(fallback.design.cache.misses, 1u);
+  ASSERT_EQ(fallback.design.fabric, compiled.design.fabric);
+  EXPECT_EQ(service.graph_slot().builds(), 1u);
+  expect_same_design(core::compile(edited, spec, reseeded), fallback.design);
+}
+
+TEST(GraphSlot, EveryFlippedSpecFieldBuildsANewGraph) {
+  // The slot compares whole specs, so no single-field change may reuse
+  // the held graph: a valid flip builds its own graph, and an invalid one
+  // throws instead of handing out the held graph.
+  core::GraphSlot slot;
+  const arch::FabricSpec spec = small_spec();
+  for (const auto& [field, flip] : spec_field_flips()) {
+    const auto held = slot.acquire(spec);
+    arch::FabricSpec flipped = spec;
+    flip(flipped);
+    bool valid = true;
+    try {
+      flipped.validate();
+    } catch (const InvalidArgument&) {
+      valid = false;
+    }
+    const std::size_t before = slot.builds();
+    if (!valid) {
+      EXPECT_THROW(slot.acquire(flipped), InvalidArgument) << field;
+      EXPECT_EQ(slot.builds(), before) << field;
+      continue;
+    }
+    const auto graph = slot.acquire(flipped);
+    EXPECT_EQ(slot.builds(), before + 1) << field;
+    EXPECT_NE(graph, held) << field;
+    EXPECT_EQ(graph->spec(), flipped) << field;
+    EXPECT_EQ(slot.acquire(flipped), graph) << field;  // now held
+  }
+}
+
+TEST(GraphSlot, CompilingOnAnotherFabricReleasesTheHeldGraph) {
+  const auto nl = four_context_workload();
+  CompileService service;
+  const Compiled a = service.compile(nl, small_spec());
+  const std::weak_ptr<const arch::RoutingGraph> graph_a =
+      service.graph_slot().acquire(a.design.fabric);
+  EXPECT_EQ(service.graph_slot().builds(), 1u);  // still held: no build
+  EXPECT_FALSE(graph_a.expired());
+
+  arch::FabricSpec wider = small_spec();
+  wider.channel_width += 2;
+  service.compile(nl, wider);
+  EXPECT_EQ(service.graph_slot().builds(), 2u);
+  EXPECT_TRUE(graph_a.expired());
+}
+
+TEST(GraphSlot, ConcurrentCompilesOnTwoFabricsMatchUncached) {
+  // Eight threads compile, then delta-edit, designs on two fabrics through
+  // one service whose design store holds one design, so nearly every
+  // compile misses and the held graph flips between the fabrics while
+  // other compiles still read the graph it replaced.  Every bitstream must
+  // equal the same design's uncached compile.
+  arch::FabricSpec wider = small_spec();
+  wider.channel_width += 2;
+  const std::vector<arch::FabricSpec> fabrics = {small_spec(), wider};
+  core::CompileOptions opts;
+  opts.placer.num_threads = 1;
+  opts.router.num_threads = 1;
+  constexpr std::size_t kThreads = 8;
+  struct Job {
+    netlist::MultiContextNetlist netlist;
+    netlist::MultiContextNetlist edited;
+    const arch::FabricSpec* fabric = nullptr;
+    std::string want;
+    std::string want_edited;
+  };
+  std::vector<Job> jobs(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    Job& job = jobs[t];
+    job.netlist = four_context_workload(4 + t / 2);
+    job.edited = workload::retable_edit(job.netlist,
+                                        pick_lut_node(job.netlist), t + 1);
+    job.fabric = &fabrics[t % 2];
+    job.want = config::to_text(
+        core::compile(job.netlist, *job.fabric, opts).full_bitstream);
+    job.want_edited = config::to_text(
+        core::compile(job.edited, *job.fabric, opts).full_bitstream);
+  }
+
+  IncrementalOptions tiny;
+  tiny.limits.max_entries = 1;
+  CompileService service(tiny);
+  std::vector<std::string> got(kThreads);
+  std::vector<std::string> got_edited(kThreads);
+  std::vector<std::string> fallbacks(kThreads);
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        const Job& job = jobs[t];
+        const Compiled base = service.compile(job.netlist, *job.fabric, opts);
+        got[t] = config::to_text(base.design.full_bitstream);
+        const Compiled inc =
+            service.compile_incremental(base, job.edited, opts);
+        got_edited[t] = config::to_text(inc.design.full_bitstream);
+        fallbacks[t] = inc.design.cache.delta_fallback;
+      });
+    }
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t], jobs[t].want) << "thread " << t;
+    EXPECT_EQ(got_edited[t], jobs[t].want_edited) << "thread " << t;
+    EXPECT_EQ(fallbacks[t], "") << "thread " << t;
+  }
+  EXPECT_GE(service.graph_slot().builds(), 2u);
 }
 
 }  // namespace

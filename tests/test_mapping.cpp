@@ -2,9 +2,13 @@
 // Fig. 13 vs Fig. 14 plane-allocation comparison.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "mapping/context_merge.hpp"
 #include "mapping/plane_alloc.hpp"
@@ -262,6 +266,107 @@ TEST(PlaneAlloc, BudgetBitsScalesWithSlots) {
   uses.push_back(make_use(0, {0}, 4));
   const auto alloc = allocate_planes(uses, 4, 4, lut::SizeControl::kLocal);
   EXPECT_EQ(alloc.budget_bits(4, 4), alloc.num_slots() * 64u);
+}
+
+/// A seeded random use set on `n` contexts with base-4 LUTs: single- and
+/// multi-context classes of arity 1 up to the single-plane LUT size, whose
+/// fanins come from a small signal pool so that slots share pins.
+std::vector<ClassUse> random_uses(Rng& rng, std::size_t n, std::size_t count) {
+  const std::size_t max_arity =
+      4 + static_cast<std::size_t>(std::countr_zero(n));
+  std::vector<ClassUse> uses;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::vector<std::size_t> contexts;
+    switch (rng.next_below(4)) {
+      case 0:  // one context
+        contexts.push_back(rng.next_below(n));
+        break;
+      case 1:  // every context
+        for (std::size_t c = 0; c < n; ++c) {
+          contexts.push_back(c);
+        }
+        break;
+      default:  // a random subset
+        for (std::size_t c = 0; c < n; ++c) {
+          if (rng.next_bool(0.3)) {
+            contexts.push_back(c);
+          }
+        }
+        if (contexts.empty()) {
+          contexts.push_back(rng.next_below(n));
+        }
+    }
+    const std::size_t arity =
+        1 + rng.next_below(rng.next_bool(0.8) ? 4 : max_arity);
+    std::vector<std::size_t> fanins;
+    while (fanins.size() < arity) {
+      const std::size_t f = 900 + rng.next_below(12);
+      if (std::find(fanins.begin(), fanins.end(), f) == fanins.end()) {
+        fanins.push_back(f);
+      }
+    }
+    uses.push_back(make_use(i, std::move(contexts), arity, std::move(fanins)));
+  }
+  return uses;
+}
+
+/// The slot count, each slot's mode and bit counts, and each entry's class
+/// and planes, in allocation order; slot_of_class must agree with them.
+std::uint64_t allocation_digest(const PlaneAllocation& alloc) {
+  common::Hasher h;
+  h.size(alloc.num_slots());
+  for (std::size_t s = 0; s < alloc.slots.size(); ++s) {
+    const Slot& slot = alloc.slots[s];
+    h.size(slot.mode.inputs).size(slot.mode.planes);
+    h.size(slot.used_bits).size(slot.duplicated_bits);
+    h.size(slot.entries.size());
+    for (const SlotEntry& e : slot.entries) {
+      EXPECT_EQ(alloc.slot_of_class.at(e.use.cls), s);
+      h.size(e.use.cls).size(e.planes.size());
+      for (const std::size_t p : e.planes) {
+        h.size(p);
+      }
+    }
+  }
+  EXPECT_EQ(alloc.slot_of_class.size(), [&] {
+    std::size_t entries = 0;
+    for (const Slot& slot : alloc.slots) {
+      entries += slot.entries.size();
+    }
+    return entries;
+  }());
+  return h.digest();
+}
+
+// Pins the exact allocations (slots, modes, entry planes) over seeded
+// random use sets, so a faster allocator must reproduce them bit for bit.
+// The digests were taken from the copying allocator this one replaced.
+TEST(PlaneAlloc, RandomUseSetsAllocateExactlyAsPinned) {
+  struct Case {
+    std::size_t n;
+    lut::SizeControl control;
+    std::uint64_t digest;
+  };
+  const std::vector<Case> cases = {
+      {2, lut::SizeControl::kGlobal, 0x52d4562ae3f99cf5ull},
+      {2, lut::SizeControl::kLocal, 0x8550fc0ab45164feull},
+      {4, lut::SizeControl::kGlobal, 0x83bc07da8e168410ull},
+      {4, lut::SizeControl::kLocal, 0x81142dfd0449e5feull},
+      {8, lut::SizeControl::kGlobal, 0x6625c5308238fd68ull},
+      {8, lut::SizeControl::kLocal, 0x3ab6de4177767751ull},
+      {64, lut::SizeControl::kGlobal, 0x9969bb12b201c821ull},
+      {64, lut::SizeControl::kLocal, 0xaf6234e91bdac8b7ull},
+  };
+  for (const Case& c : cases) {
+    common::Hasher h;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      Rng rng(seed * 7919 + c.n);
+      const auto uses = random_uses(rng, c.n, 40 + 30 * seed);
+      h.u64(allocation_digest(allocate_planes(uses, 4, c.n, c.control)));
+    }
+    EXPECT_EQ(h.digest(), c.digest)
+        << "n=" << c.n << " control=" << lut::to_string(c.control);
+  }
 }
 
 }  // namespace
