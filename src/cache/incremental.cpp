@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -12,6 +13,7 @@
 #include "common/error.hpp"
 #include "config/context_id.hpp"
 #include "core/closure.hpp"
+#include "core/fields.hpp"
 #include "core/timing_build.hpp"
 #include "place/net_index.hpp"
 #include "route/router_core.hpp"
@@ -32,6 +34,21 @@ constexpr double kMaxInvalidatedFraction = 0.6;
 /// Additive present-congestion cost pinned onto every wire node a kept
 /// net occupies, so re-routed nets detour around the kept trees.
 constexpr double kKeepPressure = 1e6;
+
+/// Whether two option sets compile the same designs: the worker counts
+/// on the field list zeroed, every member compared by value.  Never a
+/// digest: a collision would delta-recompile under the wrong options.
+bool same_results(core::CompileOptions a, core::CompileOptions b) {
+  const auto zero_neutral = [](std::string_view, auto& value,
+                               core::Effect effect = core::Effect::kResult) {
+    if (effect == core::Effect::kNeutral) {
+      value = {};
+    }
+  };
+  core::visit_fields(a, zero_neutral);
+  core::visit_fields(b, zero_neutral);
+  return a == b;
+}
 
 void push_timing(std::vector<core::StageTiming>& timings, const char* name,
                  Clock::time_point start) {
@@ -561,8 +578,7 @@ std::map<std::string, std::size_t> CompileService::fallback_reasons() const {
 Compiled CompileService::compile_incremental(
     const Compiled& previous, const netlist::MultiContextNetlist& edited,
     const core::CompileOptions& options, core::StageObserver* observer) {
-  if (hash_compile_options(options) !=
-      hash_compile_options(previous.options)) {
+  if (!same_results(options, previous.options)) {
     return fallback(previous, edited, options, "compile options changed",
                     observer);
   }
@@ -626,13 +642,9 @@ Compiled CompileService::compile_incremental(
   const core::PlacementBuild build = core::annealed_placement_problem(ctx);
   const std::uint64_t problem_hash =
       core::hash_placement_problem(build.problem);
-  // The cold anneal's budget, with place::place's default sweep length.
-  const std::size_t moves_per_sweep =
-      options.placer.moves_per_sweep != 0
-          ? options.placer.moves_per_sweep
-          : 16 * (ctx.clusters.size() + ctx.num_terminals + 1);
+  // The cold anneal's budget.
   const std::size_t moves_saved =
-      options.placer.sweeps * moves_per_sweep *
+      options.placer.sweeps * place::moves_per_sweep(build.problem) *
       std::max<std::size_t>(1, options.placer.num_restarts);
   if (problem_hash == previous.placement_problem_hash &&
       ctx.clusters.size() == previous.design.clusters.size() &&

@@ -62,19 +62,10 @@ void restore(FlowContext& ctx, Snapshot&& s) {
   ctx.context_stats = std::move(s.stats);
 }
 
-/// Post-route criticality digest of one closure iteration: the per-class
-/// worst connection criticality (folded into the re-place net weights)
-/// plus the mean over every connection and context — the slack
-/// distribution summary the adaptive refine policy keys on.
-struct PostRouteCriticality {
+/// Per-class worst post-route connection criticality of one closure
+/// iteration: what the re-place folds into its net weights.
+std::map<std::size_t, double> post_route_criticality(const FlowContext& ctx) {
   std::map<std::size_t, double> by_class;
-  double mean = 0.0;
-};
-
-PostRouteCriticality post_route_criticality(const FlowContext& ctx) {
-  PostRouteCriticality out;
-  double sum = 0.0;
-  std::size_t count = 0;
   for (std::size_t c = 0; c < ctx.timing_specs.size(); ++c) {
     const timing::ContextTimingSpec& spec = ctx.timing_specs[c];
     std::vector<std::vector<std::size_t>> switches(spec.nets.size());
@@ -92,47 +83,14 @@ PostRouteCriticality post_route_criticality(const FlowContext& ctx) {
       double worst = 0.0;
       for (const double value : crit[i]) {
         worst = std::max(worst, value);
-        sum += value;
-        ++count;
       }
-      auto [it, inserted] = out.by_class.emplace(ctx.net_class[c][i], worst);
+      auto [it, inserted] = by_class.emplace(ctx.net_class[c][i], worst);
       if (!inserted) {
         it->second = std::max(it->second, worst);
       }
     }
   }
-  out.mean = count > 0 ? sum / static_cast<double>(count) : 0.0;
-  return out;
-}
-
-/// The refine anneal's knobs for one closure iteration.  The historical
-/// policy (closure_adaptive_refine off) is the fixed
-/// kRefineTemperatureScale and a halved sweep budget; the adaptive policy
-/// reads the post-route slack distribution instead — tight slack
-/// everywhere (mean criticality -> 1) earns a larger shake and the full
-/// sweep budget, a lone hot path (mean -> 0) keeps the gentle refine.
-/// Both are pure functions of the iteration's STA, so determinism holds.
-struct RefinePolicy {
-  double temperature_scale = kRefineTemperatureScale;
-  std::size_t sweeps = 1;
-};
-
-RefinePolicy refine_policy(const CompileOptions& options,
-                           double mean_criticality) {
-  RefinePolicy policy;
-  const std::size_t base = std::max<std::size_t>(1, options.placer.sweeps);
-  if (!options.closure_adaptive_refine) {
-    policy.temperature_scale = kRefineTemperatureScale;
-    policy.sweeps = std::max<std::size_t>(1, base / 2);
-    return policy;
-  }
-  policy.temperature_scale =
-      kRefineTemperatureScale * (0.5 + 1.5 * mean_criticality);
-  policy.sweeps = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             static_cast<double>(base) * (0.5 + 0.5 * mean_criticality) +
-             0.5));
-  return policy;
+  return by_class;
 }
 
 }  // namespace
@@ -184,17 +142,13 @@ void ClosureLoopStage::run(FlowContext& ctx) const {
 
     // Re-place: post-route criticalities become exact-integer weight
     // bumps (place::effective_net_weight), and the anneal perturbs the
-    // previous placement at a temperature the refine policy picks (fixed
-    // constants by default, slack-distribution-derived when
-    // closure_adaptive_refine is on).
-    const PostRouteCriticality crit = post_route_criticality(ctx);
-    apply_class_criticality(build, crit.by_class);
-    const RefinePolicy policy = refine_policy(ctx.options, crit.mean);
+    // previous placement at a reduced temperature with half the sweeps.
+    apply_class_criticality(build, post_route_criticality(ctx));
     place::PlacerOptions placer_options = ctx.options.placer;
     placer_options.timing_mode = true;  // the loop exists to chase slack
     placer_options.seed = base_seed + kRefineSeedStride * (iter - 1);
-    placer_options.initial_temperature_factor *= policy.temperature_scale;
-    placer_options.sweeps = policy.sweeps;
+    placer_options.initial_temperature_factor *= kRefineTemperatureScale;
+    placer_options.sweeps = std::max<std::size_t>(1, placer_options.sweeps / 2);
     const place::Placement previous = std::move(ctx.placement);
     ctx.placement =
         place::place(build.problem, *ctx.graph, placer_options, &previous);
@@ -243,7 +197,7 @@ void ClosureLoopStage::run(FlowContext& ctx) const {
       best = capture(ctx);
       best_slack = s.worst_slack;
     }
-    if (improvement <= ctx.options.closure_slack_tolerance) {
+    if (improvement <= kClosureSlackTolerance) {
       break;
     }
   }

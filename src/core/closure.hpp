@@ -28,7 +28,7 @@
 //
 // Every iteration lands in FlowContext::closure_stats; the loop exits
 // early when an iteration fails to improve the best worst slack by more
-// than CompileOptions::closure_slack_tolerance (or when a refine re-route
+// than kClosureSlackTolerance (or when a refine re-route
 // fails to converge), and the best-slack iteration's artifacts are
 // restored at the end — closure never finishes worse than one-shot, and
 // with closure_iterations == 1 the loop IS the plain three-stage block,
@@ -38,6 +38,10 @@
 #include "core/stages.hpp"
 
 namespace mcfpga::core {
+
+/// Worst-slack improvement (SE delay units) a refine iteration must beat
+/// for the loop to continue: 0 = while slack strictly improves.
+inline constexpr double kClosureSlackTolerance = 0.0;
 
 /// Drives the place -> route -> STA -> re-place loop over the context.
 /// Requires ClusterStage's artifacts; fills everything PlaceStage,

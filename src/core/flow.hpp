@@ -49,6 +49,8 @@
 
 namespace mcfpga::core {
 
+/// Every field, nested ones included, is on core/fields.hpp's list; a
+/// member added without a line there fails to compile.
 struct CompileOptions {
   std::uint64_t seed = 1;
   /// Placement knobs; placer.seed left at kSeedFromFlow inherits `seed`.
@@ -69,17 +71,8 @@ struct CompileOptions {
   /// best-worst-slack iteration wins, so closure never ends worse than
   /// one-shot.
   std::size_t closure_iterations = 1;
-  /// Minimum worst-slack improvement (SE delay units) a closure iteration
-  /// must deliver over the best so far for the loop to continue; 0 =
-  /// keep iterating while there is any strict improvement.
-  double closure_slack_tolerance = 0.0;
-  /// Adaptive refine policy for the closure loop's re-anneal.  false (the
-  /// default) keeps the historical constants: temperature scale 0.02x and
-  /// a halved sweep budget.  true derives both from the post-route slack
-  /// distribution — a design whose slack is tight everywhere gets a
-  /// larger perturbation and the full sweep budget, one with a single
-  /// hot path keeps the gentle refine (deterministic either way).
-  bool closure_adaptive_refine = false;
+
+  bool operator==(const CompileOptions&) const = default;
 };
 
 /// One logic block's worth of slots.

@@ -620,8 +620,6 @@ FlowContext make_flow_context(const netlist::MultiContextNetlist& netlist,
                  "netlist context count must match the fabric");
   MCFPGA_REQUIRE(options.closure_iterations >= 1,
                  "closure loop needs at least one iteration");
-  MCFPGA_REQUIRE(options.closure_slack_tolerance >= 0.0,
-                 "closure_slack_tolerance must be non-negative");
   // Negative delays would price routing below zero: the timing-driven
   // expansion would relax negative-cost cycles without end, and STA would
   // report a critical path shortened by every switch crossed.

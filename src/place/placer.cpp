@@ -38,19 +38,8 @@ Geometry make_geometry(const arch::RoutingGraph& graph) {
   return g;
 }
 
-/// VPR-style acceptance-rate-driven temperature multiplier.
-double adaptive_cooling_factor(double accept_rate) {
-  if (accept_rate > 0.96) {
-    return 0.5;
-  }
-  if (accept_rate > 0.8) {
-    return 0.9;
-  }
-  if (accept_rate > 0.15) {
-    return 0.95;
-  }
-  return 0.8;
-}
+/// Geometric cooling: the temperature's factor per sweep.
+constexpr double kCooling = 0.9;
 
 /// One independent annealing run.  Both delta-evaluation modes draw the
 /// same RNG sequence and see the same exact integer deltas, so for a given
@@ -115,10 +104,7 @@ Placement anneal_one(const PlacementProblem& problem, const Geometry& geom,
       1e-6,
       options.initial_temperature_factor * std::max<double>(
                                                static_cast<double>(cost), 1.0));
-  const std::size_t moves_per_sweep =
-      options.moves_per_sweep != 0
-          ? options.moves_per_sweep
-          : 16 * (problem.num_clusters + problem.num_io_terminals + 1);
+  const std::size_t sweep_moves = moves_per_sweep(problem);
   const double max_dim = static_cast<double>(std::max(geom.width, geom.height));
   double rlim = max_dim;
 
@@ -148,7 +134,7 @@ Placement anneal_one(const PlacementProblem& problem, const Geometry& geom,
   for (std::size_t sweep = 0; sweep < options.sweeps; ++sweep) {
     evaluated = 0;
     accepted = 0;
-    for (std::size_t m = 0; m < moves_per_sweep; ++m) {
+    for (std::size_t m = 0; m < sweep_moves; ++m) {
       const bool move_cluster =
           problem.num_io_terminals == 0 ||
           (problem.num_clusters > 0 && rng.next_bool(0.7));
@@ -156,24 +142,19 @@ Placement anneal_one(const PlacementProblem& problem, const Geometry& geom,
         const std::size_t a =
             static_cast<std::size_t>(rng.next_below(problem.num_clusters));
         const std::size_t old_cell = cluster_cell[a];
-        std::size_t target_cell;
-        if (options.range_limit) {
-          // Uniform draw over the window around the cluster's cell.
-          const std::size_t r =
-              static_cast<std::size_t>(std::max(1.0, rlim));
-          const std::size_t ax = old_cell % width;
-          const std::size_t ay = old_cell / width;
-          const std::size_t x0 = ax > r ? ax - r : 0;
-          const std::size_t x1 = std::min(geom.width - 1, ax + r);
-          const std::size_t y0 = ay > r ? ay - r : 0;
-          const std::size_t y1 = std::min(geom.height - 1, ay + r);
-          const std::size_t span_x = x1 - x0 + 1;
-          const std::size_t pick = static_cast<std::size_t>(
-              rng.next_below(span_x * (y1 - y0 + 1)));
-          target_cell = (y0 + pick / span_x) * width + (x0 + pick % span_x);
-        } else {
-          target_cell = static_cast<std::size_t>(rng.next_below(geom.cells));
-        }
+        // Uniform draw over the window around the cluster's cell.
+        const std::size_t r = static_cast<std::size_t>(std::max(1.0, rlim));
+        const std::size_t ax = old_cell % width;
+        const std::size_t ay = old_cell / width;
+        const std::size_t x0 = ax > r ? ax - r : 0;
+        const std::size_t x1 = std::min(geom.width - 1, ax + r);
+        const std::size_t y0 = ay > r ? ay - r : 0;
+        const std::size_t y1 = std::min(geom.height - 1, ay + r);
+        const std::size_t span_x = x1 - x0 + 1;
+        const std::size_t pick = static_cast<std::size_t>(
+            rng.next_below(span_x * (y1 - y0 + 1)));
+        const std::size_t target_cell =
+            (y0 + pick / span_x) * width + (x0 + pick % span_x);
         if (target_cell == old_cell) {
           continue;
         }
@@ -241,12 +222,8 @@ Placement anneal_one(const PlacementProblem& problem, const Geometry& geom,
         evaluated != 0
             ? static_cast<double>(accepted) / static_cast<double>(evaluated)
             : 0.0;
-    temperature *= options.adaptive_cooling
-                       ? adaptive_cooling_factor(accept_rate)
-                       : options.cooling;
-    if (options.range_limit) {
-      rlim = std::clamp(rlim * (1.0 - 0.44 + accept_rate), 1.0, max_dim);
-    }
+    temperature *= kCooling;
+    rlim = std::clamp(rlim * (1.0 - 0.44 + accept_rate), 1.0, max_dim);
   }
 
   Placement out;
@@ -265,10 +242,7 @@ void PlacerOptions::validate() const {
   MCFPGA_REQUIRE(sweeps > 0, "placer needs at least one sweep");
   MCFPGA_REQUIRE(initial_temperature_factor > 0.0,
                  "initial_temperature_factor must be positive");
-  MCFPGA_REQUIRE(cooling > 0.0 && cooling <= 1.0,
-                 "cooling must lie in (0, 1]");
   MCFPGA_REQUIRE(num_restarts > 0, "placer needs at least one restart");
-  MCFPGA_REQUIRE(timing_weight >= 0.0, "timing_weight must be non-negative");
 }
 
 std::int64_t effective_net_weight(const PlacementNet& net,
@@ -276,9 +250,13 @@ std::int64_t effective_net_weight(const PlacementNet& net,
   std::int64_t w = static_cast<std::int64_t>(net.weight);
   if (options.timing_mode) {
     w *= 1 + static_cast<std::int64_t>(
-                 std::llround(net.criticality * options.timing_weight));
+                 std::llround(net.criticality * kTimingWeight));
   }
   return w;
+}
+
+std::size_t moves_per_sweep(const PlacementProblem& problem) {
+  return 16 * (problem.num_clusters + problem.num_io_terminals + 1);
 }
 
 double placement_cost(const PlacementProblem& problem,

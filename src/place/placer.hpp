@@ -6,17 +6,16 @@
 // context — multi-context routing pressure is real pressure).  Moves are
 // cluster swaps / relocations and pad swaps; cluster targets are drawn
 // from a move window that shrinks as acceptance falls (VPR-style range
-// limiting), and the schedule is a classic geometric cooling with a fixed
-// sweep budget — or, behind PlacerOptions::adaptive_cooling, an
-// acceptance-rate-driven schedule.  Placements are deterministic for a
-// given seed.
+// limiting), and the schedule is a classic geometric cooling (a factor
+// of 0.9 per sweep) with a fixed sweep budget.  Placements are
+// deterministic for a given seed.
 //
 // Move evaluation is exact and incremental: a flat CSR terminal->net index
 // (place/net_index.hpp) is built once per problem, and each move updates
 // only the bounding boxes of the nets incident to the moved terminals.
 // Coordinates are integers, so deltas are exact int64s and the incremental
 // trajectory is bit-identical to the O(nets x terminals) full-recompute
-// baseline (PlacerOptions::incremental = false, kept for benches/tests).
+// baseline (PlacerOptions::incremental = false, bench_placer's reference).
 //
 // Multi-seed restarts: num_restarts independent annealers (restart r seeds
 // its RNG with seed + r) run on a worker pool, and the lowest-cost result
@@ -67,19 +66,13 @@ struct PlacerOptions {
   /// its own seed (core::PlaceStage); place() itself treats it literally.
   static constexpr std::uint64_t kSeedFromFlow = 0;
   std::uint64_t seed = kSeedFromFlow;
-  /// Annealing sweeps (each sweep = moves_per_sweep attempted moves).
+  /// Annealing sweeps of moves_per_sweep(problem) moves; the closure
+  /// loop's refine anneal halves them and scales the temperature down.
   std::size_t sweeps = 64;
-  std::size_t moves_per_sweep = 0;  ///< 0 -> 16 * (clusters + ios)
   double initial_temperature_factor = 0.1;  ///< T0 = factor * initial cost
-  double cooling = 0.9;
   /// Exact incremental delta evaluation (false = full recompute per move;
-  /// same trajectory bit for bit, kept as the bench/test baseline).
+  /// same trajectory bit for bit, kept as bench_placer's reference).
   bool incremental = true;
-  /// Shrink cluster move windows as the acceptance rate falls.
-  bool range_limit = true;
-  /// Replace geometric cooling with an acceptance-rate-driven schedule
-  /// (sweeps still bounds the run).
-  bool adaptive_cooling = false;
   /// Independent annealing restarts; restart r uses seed + r, best cost
   /// wins (ties -> lowest restart index).
   std::size_t num_restarts = 1;
@@ -87,25 +80,31 @@ struct PlacerOptions {
   /// num_restarts; results are identical regardless of the value.
   std::size_t num_threads = 0;
   /// Timing-driven cost: each net's HPWL weight becomes
-  ///   weight * (1 + round(criticality * timing_weight)),
+  ///   weight * (1 + round(criticality * kTimingWeight)),
   /// an integer, so the incremental evaluator stays exact and trajectories
   /// stay deterministic.  Off = criticalities ignored, bit-identical to
   /// the pure-HPWL placer.
   bool timing_mode = false;
-  /// Strength of the criticality bump (a fully critical net weighs
-  /// (1 + timing_weight)x its wirelength weight).
-  double timing_weight = 4.0;
+
+  bool operator==(const PlacerOptions&) const = default;
 
   /// Throws InvalidArgument on out-of-range values (zero sweep/restart
-  /// budget, non-positive cooling, negative weights, ...).  Called by
-  /// place().
+  /// budget, non-positive temperature factor).  Called by place().
   void validate() const;
 };
+
+/// Strength of timing mode's criticality bump: a fully critical net weighs
+/// (1 + kTimingWeight)x its wirelength weight.
+inline constexpr double kTimingWeight = 4.0;
 
 /// The annealer's per-net weight: the context count, criticality-bumped in
 /// timing mode.  Exposed so placement_cost() and the NetIndex agree.
 std::int64_t effective_net_weight(const PlacementNet& net,
                                   const PlacerOptions& options);
+
+/// Attempted moves per annealing sweep: 16 per cluster and I/O terminal,
+/// plus 16.  Also the delta path's measure of the anneal it skipped.
+std::size_t moves_per_sweep(const PlacementProblem& problem);
 
 /// Outcome of one annealing restart (all restarts are reported, not just
 /// the winner, so callers can attribute time and quality per seed).

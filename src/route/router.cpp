@@ -54,11 +54,6 @@ config::Bitstream RouteResult::to_bitstream(
 }
 
 void RouterOptions::validate() const {
-  MCFPGA_REQUIRE(max_iterations > 0, "router needs at least one iteration");
-  MCFPGA_REQUIRE(present_factor_growth > 0.0,
-                 "present_factor_growth must be positive");
-  MCFPGA_REQUIRE(history_increment >= 0.0,
-                 "history_increment must be non-negative");
   MCFPGA_REQUIRE(criticality_exponent_schedule.start > 0.0,
                  "criticality exponent schedule must start positive");
   MCFPGA_REQUIRE(criticality_exponent_schedule.step >= 0.0,
@@ -66,8 +61,6 @@ void RouterOptions::validate() const {
   MCFPGA_REQUIRE(
       criticality_exponent_schedule.max >= criticality_exponent_schedule.start,
       "criticality exponent ceiling must be at least the start value");
-  MCFPGA_REQUIRE(max_criticality >= 0.0 && max_criticality < 1.0,
-                 "max_criticality must lie in [0, 1)");
 }
 
 std::vector<std::size_t> cross_context_conflicts(

@@ -98,10 +98,6 @@ enum class CrossContextMode : std::uint8_t {
 };
 
 struct RouterOptions {
-  std::size_t max_iterations = 40;
-  /// Multiplier on present congestion added per iteration.
-  double present_factor_growth = 1.6;
-  double history_increment = 1.0;
   /// When false, double-length wires are priced off the table (E5 ablation).
   bool prefer_double_length = true;
   /// Worker threads for per-context routing.  0 = one per hardware thread
@@ -128,9 +124,6 @@ struct RouterOptions {
     bool operator==(const CriticalityExponentSchedule&) const = default;
   };
   CriticalityExponentSchedule criticality_exponent_schedule{};
-  /// Criticality ceiling, keeping a sliver of congestion pressure on even
-  /// the most critical connection so negotiation still converges.
-  double max_criticality = 0.99;
   /// Cross-context coupling: kOff = independent contexts (bit-identical
   /// to the historical router); kInterleaved re-routes contested nets
   /// by criticality with shared congestion pressure (route/schedule.hpp,
@@ -146,8 +139,8 @@ struct RouterOptions {
   /// state was built for the same job shape and reuse it.
   bool operator==(const RouterOptions&) const = default;
 
-  /// Throws InvalidArgument on out-of-range values (zero iteration budget,
-  /// negative increments/weights, ...).  Called by Router's constructor.
+  /// Throws InvalidArgument on a criticality exponent schedule that does
+  /// not start positive or that decays.  Called by Router's constructor.
   void validate() const;
 };
 
@@ -258,7 +251,7 @@ class Router {
   /// Routes all contexts; nets_per_context.size() must equal the fabric's
   /// context count.  Throws FlowError when a net is unroutable outright
   /// (no physical path); returns success=false when congestion cannot be
-  /// resolved within max_iterations.
+  /// resolved within kMaxIterations rip-up rounds (route/router_core.hpp).
   ///
   /// `timing` (one spec per context, parallel to the net lists) enables the
   /// timing-driven cost when options.timing_mode is set; contexts remain

@@ -24,6 +24,11 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// at least this much congestion cost (the bucket quantum's floor).
 constexpr double kMinNodeCost = 0.5;
 
+/// PathFinder: the present-congestion factor's growth per rip-up round,
+/// and the history cost added per unit of overuse per round.
+constexpr double kPresentFactorGrowth = 1.6;
+constexpr double kHistoryIncrement = 1.0;
+
 /// Calendar span of the kBucket engine before pushes spill to the overflow
 /// list.  1024 buckets x 0.5 quantum covers a 512-cost horizon per rebase,
 /// far beyond one relaxation wave.
@@ -383,7 +388,7 @@ RouterCore::ContextResult RouterCore::route_pass(
       if (exponent != 1.0) {
         c = std::pow(c, exponent);
       }
-      crit_[conn] = std::min(c, options_.max_criticality);
+      crit_[conn] = std::min(c, kMaxCriticality);
     }
   };
   if (timing_driven) {
@@ -406,7 +411,7 @@ RouterCore::ContextResult RouterCore::route_pass(
 
   bool converged = false;
   std::size_t iter = 0;
-  for (; iter < options_.max_iterations; ++iter) {
+  for (; iter < kMaxIterations; ++iter) {
     // Congestion inputs (history, present factor) changed since the last
     // iteration: rebuild the hoisted per-node cost once, then patch it on
     // the O(tree) occupancy edits below.
@@ -466,7 +471,7 @@ RouterCore::ContextResult RouterCore::route_pass(
     for (std::size_t n = 0; n < num_nodes; ++n) {
       if (occupancy_[n] > 1) {
         overused = true;
-        history_[n] += options_.history_increment *
+        history_[n] += kHistoryIncrement *
                        static_cast<double>(occupancy_[n] - 1);
       }
     }
@@ -474,7 +479,7 @@ RouterCore::ContextResult RouterCore::route_pass(
       converged = true;
       break;
     }
-    present_factor_ *= options_.present_factor_growth;
+    present_factor_ *= kPresentFactorGrowth;
 
     if (timing_driven) {
       // Re-time every connection at its current switch count (incremental:
@@ -497,7 +502,7 @@ RouterCore::ContextResult RouterCore::route_pass(
   }
   pressure_of_ = nullptr;
   // On convergence the loop broke at index `iter`; otherwise the loop
-  // condition already advanced iter to max_iterations.
+  // condition already advanced iter to kMaxIterations.
   result.iterations = converged ? iter + 1 : iter;
   result.converged = converged;
   for (const auto& net : result.nets) {
@@ -610,7 +615,7 @@ void RouterCore::session_begin(const std::vector<RouteNet>& nets,
         if (exponent != 1.0) {
           c = std::pow(c, exponent);
         }
-        c = std::min(c, options_.max_criticality);
+        c = std::min(c, kMaxCriticality);
         crit_[conn] = c;
         net_crit = std::max(net_crit, c);
       }
@@ -769,7 +774,7 @@ double bucket_quantum_for(const RouterOptions& options,
   if (!options.timing_mode || timing == nullptr) {
     return kMinNodeCost;
   }
-  const double c = options.max_criticality;
+  const double c = kMaxCriticality;
   return std::min(kMinNodeCost,
                   (1.0 - c) * kMinNodeCost + c * timing->se_delay);
 }

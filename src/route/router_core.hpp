@@ -109,9 +109,9 @@ class RouterCore {
   /// One negotiation pass over one context's nets — a full PathFinder
   /// rip-up/re-route loop.  Throws FlowError when a net has no physical
   /// path at all; returns converged=false when congestion cannot be
-  /// negotiated away within options.max_iterations.  `timing` (may be
-  /// null) enables the criticality-driven cost when options.timing_mode is
-  /// set; its nets/sinks must parallel `nets`.
+  /// negotiated away within kMaxIterations rip-up rounds.  `timing` (may
+  /// be null) enables the criticality-driven cost when options.timing_mode
+  /// is set; its nets/sinks must parallel `nets`.
   ///
   /// `history` (may be null) carries PathFinder history costs across
   /// passes: when its size matches the graph's node count the negotiation
@@ -388,6 +388,14 @@ class CorePool {
   std::vector<Slot> slots_;
 };
 
+/// Rip-up rounds a context's PathFinder negotiation may take before it
+/// gives up (RouteResult::success false).
+inline constexpr std::size_t kMaxIterations = 40;
+
+/// Criticality ceiling of timing-driven routing: the most critical
+/// connection keeps a sliver of congestion cost, so negotiation converges.
+inline constexpr double kMaxCriticality = 0.99;
+
 /// Bucket width the kBucket engine uses for one pass: the smallest
 /// relaxation increment the pass can produce, so every relaxation out of
 /// the current bucket lands in a later one and the expansion is exact
@@ -395,8 +403,8 @@ class CorePool {
 /// pass adds exactly the node cost, so the quantum is 0.5; a timing-driven
 /// pass (options.timing_mode with a spec) adds
 /// (1 - crit) * node_cost + crit * se_delay for crit in
-/// [0, max_criticality], which is linear in crit, so its minimum is
-/// min(0.5, (1 - max_criticality) * 0.5 + max_criticality * se_delay).
+/// [0, kMaxCriticality], which is linear in crit, so its minimum is
+/// min(0.5, (1 - kMaxCriticality) * 0.5 + kMaxCriticality * se_delay).
 /// At the default delays that is exactly 0.5.
 double bucket_quantum_for(const RouterOptions& options,
                           const timing::ContextTimingSpec* timing);

@@ -4,12 +4,15 @@
 #include <array>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "core/fields.hpp"
 
 namespace mcfpga::serve {
 namespace {
@@ -115,8 +118,6 @@ class PayloadWriter {
   std::string& out_;
 };
 
-std::string_view flag(bool value) { return value ? "1" : "0"; }
-
 /// Reads a payload in place: lines and fields are views into it, and each
 /// blob is copied out once.  It accepts only what PayloadWriter writes —
 /// one space between fields, integers without leading zeros, doubles in
@@ -148,35 +149,16 @@ class PayloadReader {
   }
 
   /// `<key> <rest>` line; returns rest.
-  std::string_view keyed_line(const char* key) {
+  std::string_view keyed_line(std::string_view key) {
     const std::string_view l = line();
     const std::size_t space = l.find(' ');
     const std::string_view k = l.substr(0, space);
     if (k != key) {
-      fail(std::string("expected '") + key + "', got '" + std::string(k) +
+      fail("expected '" + std::string(key) + "', got '" + std::string(k) +
            "'");
     }
     return space == std::string_view::npos ? std::string_view()
                                            : l.substr(space + 1);
-  }
-
-  /// N fields one space apart.  Each field's own parser rejects an empty
-  /// or space-holding token, so the last takes the rest of the line.
-  template <std::size_t N>
-  std::array<std::string_view, N> fields(std::string_view rest,
-                                         const char* key) {
-    std::array<std::string_view, N> out;
-    for (std::size_t i = 0; i + 1 < N; ++i) {
-      const std::size_t space = rest.find(' ');
-      if (space == std::string_view::npos) {
-        fail(std::string(key) + " line needs " + std::to_string(N) +
-             " fields");
-      }
-      out[i] = rest.substr(0, space);
-      rest.remove_prefix(space + 1);
-    }
-    out[N - 1] = rest;
-    return out;
   }
 
   /// `<key> <u64>` line.
@@ -246,60 +228,103 @@ class PayloadReader {
   std::size_t line_ = 0;   ///< Lines read so far.
 };
 
+/// A flag's words, indexed by its value, beside the enum fields'.
+using core::field_words;
+constexpr std::array<std::string_view, 2> field_words(bool) {
+  return {"0", "1"};
+}
+
+/// Writes each listed field as a `<dotted.name> <value>` line: integers
+/// in decimal, doubles as %.17g (finite only, so the decoder reads back
+/// every line the encoder writes), flags and enums as words.
+struct FieldWriter {
+  PayloadWriter& w;
+
+  template <typename T>
+  void operator()(std::string_view name, const T& value,
+                  core::Effect = core::Effect::kResult) const {
+    w.key(name);
+    if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+      const auto words = field_words(value);
+      const auto index = static_cast<std::size_t>(value);
+      MCFPGA_REQUIRE(index < words.size(),
+                     std::string(name) + " holds no named value");
+      w.field(words[index]);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      MCFPGA_REQUIRE(std::isfinite(value),
+                     std::string(name) + " must be finite");
+      w.real_field(value);
+    } else {
+      static_assert(std::is_unsigned_v<T>, "a listed field of a new type");
+      w.field(std::uint64_t{value});
+    }
+    w.end_line();
+  }
+};
+
 void write_request(std::string& out, const CompileRequest& request) {
   require_name("job name", request.job);
   if (!request.base_job.empty()) {
     require_name("base job name", request.base_job);
   }
-  const arch::FabricSpec& f = request.fabric;
-  // The fabric line carries one context count; the decoder copies it into
-  // the logic block, so a spec whose two counts differ (which could not
-  // be built anyway) would not round-trip.
-  MCFPGA_REQUIRE(f.logic_block.num_contexts == f.num_contexts,
-                 "logic-block context count must match fabric context "
-                 "count");
   PayloadWriter w(out);
-  w.key("mcfpga-request v1").end_line();
+  w.key("mcfpga-request v2").end_line();
   w.key("job").field(request.job).end_line();
   w.key("deadline_ms").field(request.deadline_ms).end_line();
   w.key("base")
       .field(request.base_job.empty() ? std::string_view("-")
                                       : std::string_view(request.base_job))
       .end_line();
-  w.key("fabric")
-      .field(f.width)
-      .field(f.height)
-      .field(f.num_contexts)
-      .field(f.channel_width)
-      .field(f.double_length_tracks)
-      .field(f.switch_impl == arch::SwitchImpl::kConventional ? "conventional"
-                                                              : "rcm")
-      .end_line();
-  const core::CompileOptions& o = request.options;
-  std::string_view cross_context = "off";
-  switch (o.router.cross_context_mode) {
-    case route::CrossContextMode::kOff:
-      cross_context = "off";
-      break;
-    case route::CrossContextMode::kInterleaved:
-      cross_context = "interleaved";
-      break;
-  }
-  w.key("options")
-      .field(o.seed)
-      .field(o.closure_iterations)
-      .field(flag(o.auto_size))
-      .field(flag(o.placer.timing_mode))
-      .field(flag(o.router.timing_mode))
-      .field(o.router.queue_mode == route::QueueMode::kBucket ? "bucket"
-                                                              : "binary")
-      .field(cross_context)
-      .field(o.placer.num_threads)
-      .field(o.router.num_threads)
-      .end_line();
+  core::visit_compile_fields(request.fabric, request.options,
+                             FieldWriter{w});
   w.blob("netlist_bytes", request.netlist_text);
   w.key("end").end_line();
 }
+
+/// Parses one listed field's value; false unless `text` is exactly what
+/// FieldWriter writes for some value.
+bool parse_field(std::string_view text, double& out) {
+  return PayloadReader::parse_double(text, out);
+}
+template <typename T>
+  requires std::is_same_v<T, bool> || std::is_enum_v<T>
+bool parse_field(std::string_view text, T& out) {
+  const auto words = field_words(out);
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    if (words[i] == text) {
+      out = static_cast<T>(i);
+      return true;
+    }
+  }
+  return false;
+}
+template <typename T>
+  requires std::is_unsigned_v<T> && (!std::is_same_v<T, bool>)
+bool parse_field(std::string_view text, T& out) {
+  std::uint64_t value = 0;
+  if (!PayloadReader::parse_u64(text, value) ||
+      value > std::numeric_limits<T>::max()) {
+    return false;
+  }
+  out = static_cast<T>(value);
+  return true;
+}
+
+/// Reads each listed field from its `<dotted.name> <value>` line: the
+/// names of the list, in its order, each value in canonical form.
+struct FieldReader {
+  PayloadReader& r;
+
+  template <typename T>
+  void operator()(std::string_view name, T& value,
+                  core::Effect = core::Effect::kResult) const {
+    const std::string_view text = r.keyed_line(name);
+    if (!parse_field(text, value)) {
+      r.fail("invalid " + std::string(name) + " '" + std::string(text) +
+             "'");
+    }
+  }
+};
 
 void write_reply(std::string& out, const CompileReply& reply) {
   require_name("job name", reply.job);
@@ -310,7 +335,7 @@ void write_reply(std::string& out, const CompileReply& reply) {
   w.blob("error_bytes", reply.error);
   w.key("hits").field(reply.cache_hits).end_line();
   w.key("misses").field(reply.cache_misses).end_line();
-  w.key("delta").field(flag(reply.delta)).end_line();
+  w.key("delta").field(field_words(reply.delta)[reply.delta]).end_line();
   w.blob("fallback_bytes", reply.delta_fallback);
   w.key("critical_path").real_field(reply.critical_path).end_line();
   w.blob("bitstream_bytes", reply.bitstream_text);
@@ -330,7 +355,7 @@ void write_progress(std::string& out, const ProgressEvent& event) {
 
 // Payload reservations: the blobs plus room for every fixed line.
 std::size_t request_bytes(const CompileRequest& request) {
-  return 512 + request.job.size() + request.base_job.size() +
+  return 1536 + request.job.size() + request.base_job.size() +
          request.netlist_text.size();
 }
 std::size_t reply_bytes(const CompileReply& reply) {
@@ -406,99 +431,16 @@ std::string encode_request(const CompileRequest& request) {
 
 CompileRequest decode_request(std::string_view payload) {
   PayloadReader r("request", payload);
-  if (r.line() != "mcfpga-request v1") {
-    r.fail("expected 'mcfpga-request v1' header");
+  if (r.line() != "mcfpga-request v2") {
+    r.fail("expected 'mcfpga-request v2' header");
   }
   CompileRequest request;
   request.job = r.name_line("job");
   request.deadline_ms = r.u64_line("deadline_ms");
   const std::string base = r.name_line("base");
   request.base_job = base == "-" ? std::string() : base;
-  {
-    const auto [w, h, c, ch, dl, impl] =
-        r.fields<6>(r.keyed_line("fabric"), "fabric");
-    std::uint64_t v = 0;
-    arch::FabricSpec& f = request.fabric;
-    const auto field = [&](std::string_view token,
-                           const char* what) -> std::size_t {
-      if (!PayloadReader::parse_u64(token, v) || v == 0 ||
-          v > std::numeric_limits<std::size_t>::max()) {
-        r.fail(std::string("invalid fabric ") + what + " '" +
-               std::string(token) + "'");
-      }
-      return static_cast<std::size_t>(v);
-    };
-    f.width = field(w, "width");
-    f.height = field(h, "height");
-    f.num_contexts = field(c, "contexts");
-    f.logic_block.num_contexts = f.num_contexts;
-    f.channel_width = field(ch, "channel width");
-    if (!PayloadReader::parse_u64(dl, v) ||
-        v > std::numeric_limits<std::size_t>::max()) {
-      r.fail("invalid fabric double-length tracks '" + std::string(dl) +
-             "'");
-    }
-    f.double_length_tracks = static_cast<std::size_t>(v);
-    if (impl == "conventional") {
-      f.switch_impl = arch::SwitchImpl::kConventional;
-    } else if (impl == "rcm") {
-      f.switch_impl = arch::SwitchImpl::kRcm;
-    } else {
-      r.fail("invalid switch implementation '" + std::string(impl) + "'");
-    }
-  }
-  {
-    const auto [seed, closure, auto_size, ptiming, rtiming, queue, ccm,
-                pthreads, rthreads] =
-        r.fields<9>(r.keyed_line("options"), "options");
-    core::CompileOptions& o = request.options;
-    std::uint64_t v = 0;
-    if (!PayloadReader::parse_u64(seed, v)) {
-      r.fail("invalid seed '" + std::string(seed) + "'");
-    }
-    o.seed = v;
-    if (!PayloadReader::parse_u64(closure, v) ||
-        v > std::numeric_limits<std::size_t>::max()) {
-      r.fail("invalid closure iterations '" + std::string(closure) + "'");
-    }
-    o.closure_iterations = static_cast<std::size_t>(v);
-    const auto flag_field = [&](std::string_view token,
-                                const char* what) -> bool {
-      if (token != "0" && token != "1") {
-        r.fail(std::string("invalid ") + what + " flag '" +
-               std::string(token) + "'");
-      }
-      return token == "1";
-    };
-    o.auto_size = flag_field(auto_size, "auto-size");
-    o.placer.timing_mode = flag_field(ptiming, "placer timing");
-    o.router.timing_mode = flag_field(rtiming, "router timing");
-    if (queue == "binary") {
-      o.router.queue_mode = route::QueueMode::kBinaryHeap;
-    } else if (queue == "bucket") {
-      o.router.queue_mode = route::QueueMode::kBucket;
-    } else {
-      r.fail("invalid queue mode '" + std::string(queue) + "'");
-    }
-    if (ccm == "off") {
-      o.router.cross_context_mode = route::CrossContextMode::kOff;
-    } else if (ccm == "interleaved") {
-      o.router.cross_context_mode = route::CrossContextMode::kInterleaved;
-    } else {
-      r.fail("invalid cross-context mode '" + std::string(ccm) + "'");
-    }
-    const auto threads = [&](std::string_view token,
-                             const char* what) -> std::size_t {
-      if (!PayloadReader::parse_u64(token, v) ||
-          v > std::numeric_limits<std::size_t>::max()) {
-        r.fail(std::string("invalid ") + what + " '" + std::string(token) +
-               "'");
-      }
-      return static_cast<std::size_t>(v);
-    };
-    o.placer.num_threads = threads(pthreads, "placer threads");
-    o.router.num_threads = threads(rthreads, "router threads");
-  }
+  core::visit_compile_fields(request.fabric, request.options,
+                             FieldReader{r});
   request.netlist_text = r.blob("netlist_bytes");
   r.expect_end();
   return request;

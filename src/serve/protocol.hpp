@@ -15,35 +15,40 @@
 // sentinel lines keep the framing robust against payload content — the
 // netlist/bitstream text never needs escaping.
 //
-//   mcfpga-request v1              mcfpga-reply v1
+//   mcfpga-request v2              mcfpga-reply v1
 //   job <name>                     job <name>
 //   deadline_ms <u64>              status done|cancelled|failed
 //   base <name|->                  error_bytes <n>
-//   fabric <w> <h> <contexts>      <n bytes>
-//          <channel> <double>      hits <u64>
-//          <conventional|rcm>      misses <u64>
-//   options <seed> <closure>       delta <0|1>
-//           <auto_size> <ptiming>  fallback_bytes <n>
-//           <rtiming>              <n bytes>
-//           <binary|bucket>        critical_path <double>
-//           <off|interleaved>      bitstream_bytes <n>
-//           <pthreads> <rthreads>  <n bytes>
-//   netlist_bytes <n>              end
-//   <n bytes>
-//   end                            mcfpga-progress v1
-//                                  job <name>
-//                                  stage <name>
-//                                  seconds <double>
-//                                  end
+//   <field> <value>                <n bytes>
+//   ... one line per field         hits <u64>
+//   netlist_bytes <n>              misses <u64>
+//   <n bytes>                      delta <0|1>
+//   end                            fallback_bytes <n>
+//                                  <n bytes>
+//   mcfpga-progress v1             critical_path <double>
+//   job <name>                     bitstream_bytes <n>
+//   stage <name>                   <n bytes>
+//   seconds <double>               end
+//   end
+//
+// The request's field lines are core/fields.hpp's list, every FabricSpec
+// and CompileOptions field as `<dotted.name> <value>` ("fabric.rcm.rows
+// 8", "placer.sweeps 64"), in list order, so the daemon compiles what
+// the request says.  Values are unsigned integers, 0/1 flags, finite
+// doubles or enum words (rcm|conventional, local|global, binary|bucket,
+// off|interleaved); the compile validates them, as a direct compile does.
+// Effort fields (sweeps, restarts, closure iterations, fabric size) are
+// not capped: the daemon is in-process, and caps belong with a socket
+// transport's admission control.
 //
 // All numeric fields go through common/strings' strict parsers, so
-// "12abc", leading '+', and overflowed values are rejected with the
-// payload line number — the same hardening the canonical text formats got.
-// Decoders accept exactly what the encoders write: one space between
-// fields, integers without leading zeros, doubles as %.17g renders them,
-// a newline after every line and nothing after `end` (or after a frame's
-// declared payload).  So a payload or frame that decodes re-encodes to
-// the same bytes.
+// "12abc", leading '+', overflowed values, "nan" and "inf" are rejected
+// with the payload line number — the same hardening the canonical text
+// formats got.  Decoders accept exactly what the encoders write: one
+// space between fields, integers without leading zeros, doubles as
+// %.17g renders them, a newline after every line and nothing after `end`
+// (or after a frame's declared payload).  So a payload or frame that
+// decodes re-encodes to the same bytes.
 //
 // Each message is rendered and copied once.  One std::string writer
 // builds every payload, and the *_frame functions write header and
@@ -51,11 +56,6 @@
 // Decoders read the bytes in place (std::string_view): each blob is
 // copied out once, and every declared length — a frame's, a blob's — is
 // checked against the bytes left before anything is allocated.
-// The options line carries the serving subset of core::CompileOptions
-// (the knobs the determinism contract is tested over); fields not on the
-// wire keep their defaults on the daemon side.  The fabric line's context
-// count sets both FabricSpec::num_contexts and the logic block's
-// num_contexts, which a valid spec keeps equal.
 #pragma once
 
 #include <cstdint>
@@ -128,9 +128,9 @@ struct ProgressEvent {
 
 const char* to_string(CompileReply::Status status);
 
-/// Payload codecs.  Encoders validate names (and encode_request a fabric
-/// whose logic-block context count differs from its own); decoders throw
-/// InvalidArgument with a payload line number on any malformed input.
+/// Payload codecs.  Encoders validate names (and encode_request that
+/// every double is finite); decoders throw InvalidArgument with a payload
+/// line number on any malformed input.
 std::string encode_request(const CompileRequest& request);
 CompileRequest decode_request(std::string_view payload);
 std::string encode_reply(const CompileReply& reply);

@@ -18,6 +18,8 @@ namespace mcfpga::sim {
 struct DelayParams {
   double se_delay = 1.0;   ///< One pass-gate crossing.
   double lut_delay = 2.0;  ///< One logic-block evaluation.
+
+  bool operator==(const DelayParams&) const = default;
 };
 
 /// One source->sink connection in the timing DAG.  Node ids are arbitrary

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -32,6 +31,8 @@
 #include "workload/circuits.hpp"
 #include "workload/edits.hpp"
 #include "workload/random_dfg.hpp"
+
+#include "field_flips.hpp"
 
 namespace mcfpga::cache {
 namespace {
@@ -530,109 +531,34 @@ TEST(CacheKeys, DistinguishInputs) {
                       opts));
 }
 
-/// One single-field change per FabricSpec field.  A flip may leave the spec
-/// invalid (a context count alone, an odd double-length track count).
-using SpecFlip = std::function<void(arch::FabricSpec&)>;
-const std::vector<std::pair<const char*, SpecFlip>>& spec_field_flips() {
-  static const std::vector<std::pair<const char*, SpecFlip>> flips = {
-      {"width", [](auto& s) { ++s.width; }},
-      {"height", [](auto& s) { ++s.height; }},
-      {"num_contexts", [](auto& s) { s.num_contexts *= 2; }},
-      {"logic_block.base_inputs", [](auto& s) { ++s.logic_block.base_inputs; }},
-      {"logic_block.num_contexts",
-       [](auto& s) { s.logic_block.num_contexts *= 2; }},
-      {"logic_block.num_outputs", [](auto& s) { ++s.logic_block.num_outputs; }},
-      {"logic_block.control",
-       [](auto& s) { s.logic_block.control = lut::SizeControl::kGlobal; }},
-      {"channel_width", [](auto& s) { ++s.channel_width; }},
-      {"double_length_tracks", [](auto& s) { ++s.double_length_tracks; }},
-      {"switch_impl",
-       [](auto& s) { s.switch_impl = arch::SwitchImpl::kConventional; }},
-      {"rcm.rows", [](auto& s) { ++s.rcm.rows; }},
-      {"rcm.cols", [](auto& s) { ++s.rcm.cols; }},
-      {"rcm.crossings", [](auto& s) { ++s.rcm.crossings; }},
-      {"rcm.input_controllers", [](auto& s) { ++s.rcm.input_controllers; }},
-  };
-  return flips;
-}
-
 /// The flow key is the only identity a cached design has, so flipping any
-/// single field of the fabric spec or the compile options must change it.
-/// Only the worker counts, which never change a result, leave it alone.
+/// single listed field of the fabric spec or the compile options must
+/// change it.  Only the worker counts, which never change a result, leave
+/// it alone.
 TEST(CacheKeys, EveryFieldButTheWorkerCountsChangesTheKey) {
   const auto nl = four_context_workload();
   const arch::FabricSpec spec = small_spec();
   const core::CompileOptions opts;
   const std::uint64_t base = flow_base_key(nl, spec, opts);
 
-  for (const auto& [field, flip] : spec_field_flips()) {
-    arch::FabricSpec flipped = spec;
-    flip(flipped);
-    EXPECT_NE(flow_base_key(nl, flipped, opts), base) << field;
-  }
+  std::size_t keyed = 0;
+  std::size_t neutral = 0;
+  fieldtest::for_each_field_flip(
+      spec, opts, [&](const fieldtest::FieldFlip& flip) {
+        const std::uint64_t key = flow_base_key(nl, flip.spec, flip.options);
+        if (flip.effect == core::Effect::kNeutral) {
+          ++neutral;
+          EXPECT_EQ(key, base) << flip.name;
+        } else {
+          ++keyed;
+          EXPECT_NE(key, base) << flip.name;
+        }
+      });
+  // 14 FabricSpec fields and 20 CompileOptions values, two of them the
+  // worker counts.
+  EXPECT_EQ(keyed, 32u);
+  EXPECT_EQ(neutral, 2u);
 
-  using OptionFlip = std::function<void(core::CompileOptions&)>;
-  const std::vector<std::pair<const char*, OptionFlip>> option_flips = {
-      {"seed", [](auto& o) { ++o.seed; }},
-      {"placer.seed", [](auto& o) { ++o.placer.seed; }},
-      {"placer.sweeps", [](auto& o) { ++o.placer.sweeps; }},
-      {"placer.moves_per_sweep", [](auto& o) { ++o.placer.moves_per_sweep; }},
-      {"placer.initial_temperature_factor",
-       [](auto& o) { o.placer.initial_temperature_factor *= 2; }},
-      {"placer.cooling", [](auto& o) { o.placer.cooling /= 2; }},
-      {"placer.incremental",
-       [](auto& o) { o.placer.incremental = !o.placer.incremental; }},
-      {"placer.range_limit",
-       [](auto& o) { o.placer.range_limit = !o.placer.range_limit; }},
-      {"placer.adaptive_cooling",
-       [](auto& o) { o.placer.adaptive_cooling = !o.placer.adaptive_cooling; }},
-      {"placer.num_restarts", [](auto& o) { ++o.placer.num_restarts; }},
-      {"placer.timing_mode",
-       [](auto& o) { o.placer.timing_mode = !o.placer.timing_mode; }},
-      {"placer.timing_weight", [](auto& o) { o.placer.timing_weight *= 2; }},
-      {"router.max_iterations", [](auto& o) { ++o.router.max_iterations; }},
-      {"router.present_factor_growth",
-       [](auto& o) { o.router.present_factor_growth *= 2; }},
-      {"router.history_increment",
-       [](auto& o) { o.router.history_increment *= 2; }},
-      {"router.prefer_double_length",
-       [](auto& o) {
-         o.router.prefer_double_length = !o.router.prefer_double_length;
-       }},
-      {"router.timing_mode",
-       [](auto& o) { o.router.timing_mode = !o.router.timing_mode; }},
-      {"router.criticality_exponent_schedule.start",
-       [](auto& o) { o.router.criticality_exponent_schedule.start *= 2; }},
-      {"router.criticality_exponent_schedule.step",
-       [](auto& o) { o.router.criticality_exponent_schedule.step += 0.5; }},
-      {"router.criticality_exponent_schedule.max",
-       [](auto& o) { o.router.criticality_exponent_schedule.max *= 2; }},
-      {"router.max_criticality",
-       [](auto& o) { o.router.max_criticality /= 2; }},
-      {"router.cross_context_mode",
-       [](auto& o) {
-         o.router.cross_context_mode = route::CrossContextMode::kInterleaved;
-       }},
-      {"router.queue_mode",
-       [](auto& o) { o.router.queue_mode = route::QueueMode::kBucket; }},
-      {"delay.se_delay", [](auto& o) { o.delay.se_delay *= 2; }},
-      {"delay.lut_delay", [](auto& o) { o.delay.lut_delay *= 2; }},
-      {"auto_size", [](auto& o) { o.auto_size = !o.auto_size; }},
-      {"closure_iterations", [](auto& o) { ++o.closure_iterations; }},
-      {"closure_slack_tolerance",
-       [](auto& o) { o.closure_slack_tolerance += 0.5; }},
-      {"closure_adaptive_refine",
-       [](auto& o) {
-         o.closure_adaptive_refine = !o.closure_adaptive_refine;
-       }},
-  };
-  for (const auto& [field, flip] : option_flips) {
-    core::CompileOptions flipped = opts;
-    flip(flipped);
-    EXPECT_NE(flow_base_key(nl, spec, flipped), base) << field;
-  }
-
-  // Worker counts are result-neutral and stay out of the key.
   core::CompileOptions threaded = opts;
   threaded.placer.num_threads = 8;
   threaded.router.num_threads = 8;
@@ -717,6 +643,63 @@ TEST(DeltaRecompile, OptionChangeFallsBackToFullCompile) {
   EXPECT_EQ(inc.design.cache.delta_fallback, "compile options changed");
   EXPECT_TRUE(inc.design.routing.success);
   expect_functionally_correct(inc.design, edited);
+}
+
+TEST(DeltaRecompile, WorkerCountChangeKeepsTheDeltaPath) {
+  // The options check compares every listed field by value except the
+  // worker counts, which never change a result.
+  const auto nl = four_context_workload();
+  const auto spec = small_spec();
+  CompileService service;
+  const core::CompileOptions opts;
+  const Compiled base = service.compile(nl, spec, opts);
+
+  core::CompileOptions threaded = opts;
+  threaded.placer.num_threads = 3;
+  threaded.router.num_threads = 2;
+  const auto edited = workload::retable_edit(nl, pick_lut_node(nl), 5);
+  const Compiled inc = service.compile_incremental(base, edited, threaded);
+  EXPECT_TRUE(inc.design.cache.delta) << inc.design.cache.delta_fallback;
+  expect_same_design(core::compile(edited, spec, opts), inc.design);
+}
+
+TEST(DeltaRecompile, EveryKeyedOptionFlipFallsBack) {
+  // Walking the field list: each single keyed option change falls back
+  // with this exact reason (perfbench counts fallbacks by it).  A flip
+  // may leave the options invalid or the design unplaceable, so the
+  // fallback's own compile may throw; the reason is counted before it
+  // runs.
+  const auto nl = four_context_workload();
+  const auto spec = small_spec();
+  CompileService service;
+  const core::CompileOptions opts;
+  const Compiled base = service.compile(nl, spec, opts);
+  const auto edited = workload::retable_edit(nl, pick_lut_node(nl), 5);
+
+  std::size_t flips = 0;
+  fieldtest::for_each_field_flip(
+      spec, opts, [&](const fieldtest::FieldFlip& flip) {
+        if (flip.spec != spec || flip.effect == core::Effect::kNeutral) {
+          return;
+        }
+        ++flips;
+        try {
+          const Compiled inc =
+              service.compile_incremental(base, edited, flip.options);
+          EXPECT_FALSE(inc.design.cache.delta) << flip.name;
+          EXPECT_EQ(inc.design.cache.delta_fallback,
+                    "compile options changed")
+              << flip.name;
+        } catch (const InvalidArgument&) {
+          // An invalid flip: an exponent start above its ceiling.
+        } catch (const FlowError&) {
+          // auto_size off on a fabric the design outgrows.
+        }
+        const auto reasons = service.fallback_reasons();
+        ASSERT_EQ(reasons.size(), 1u) << flip.name;
+        EXPECT_EQ(reasons.at("compile options changed"), flips) << flip.name;
+      });
+  EXPECT_EQ(flips, 18u);
 }
 
 TEST(DeltaRecompile, StoredProblemHashIsTheOneTheDeltaPathComputes) {
@@ -1034,28 +1017,33 @@ TEST(GraphSlot, EveryFlippedSpecFieldBuildsANewGraph) {
   // throws instead of handing out the held graph.
   core::GraphSlot slot;
   const arch::FabricSpec spec = small_spec();
-  for (const auto& [field, flip] : spec_field_flips()) {
-    const auto held = slot.acquire(spec);
-    arch::FabricSpec flipped = spec;
-    flip(flipped);
-    bool valid = true;
-    try {
-      flipped.validate();
-    } catch (const InvalidArgument&) {
-      valid = false;
-    }
-    const std::size_t before = slot.builds();
-    if (!valid) {
-      EXPECT_THROW(slot.acquire(flipped), InvalidArgument) << field;
-      EXPECT_EQ(slot.builds(), before) << field;
-      continue;
-    }
-    const auto graph = slot.acquire(flipped);
-    EXPECT_EQ(slot.builds(), before + 1) << field;
-    EXPECT_NE(graph, held) << field;
-    EXPECT_EQ(graph->spec(), flipped) << field;
-    EXPECT_EQ(slot.acquire(flipped), graph) << field;  // now held
-  }
+  std::size_t flips = 0;
+  fieldtest::for_each_field_flip(
+      spec, core::CompileOptions{}, [&](const fieldtest::FieldFlip& flip) {
+        if (flip.spec == spec) {
+          return;  // an options field
+        }
+        ++flips;
+        const auto held = slot.acquire(spec);
+        bool valid = true;
+        try {
+          flip.spec.validate();
+        } catch (const InvalidArgument&) {
+          valid = false;
+        }
+        const std::size_t before = slot.builds();
+        if (!valid) {
+          EXPECT_THROW(slot.acquire(flip.spec), InvalidArgument) << flip.name;
+          EXPECT_EQ(slot.builds(), before) << flip.name;
+          return;
+        }
+        const auto graph = slot.acquire(flip.spec);
+        EXPECT_EQ(slot.builds(), before + 1) << flip.name;
+        EXPECT_NE(graph, held) << flip.name;
+        EXPECT_EQ(graph->spec(), flip.spec) << flip.name;
+        EXPECT_EQ(slot.acquire(flip.spec), graph) << flip.name;  // now held
+      });
+  EXPECT_EQ(flips, 14u);
 }
 
 TEST(GraphSlot, CompilingOnAnotherFabricReleasesTheHeldGraph) {

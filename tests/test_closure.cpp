@@ -177,16 +177,28 @@ TEST(ClosureLoop, DeterministicAcrossWorkerAndRestartCounts) {
 }
 
 TEST(ClosureLoop, EarlyExitWhenSlackStopsImproving) {
-  // With a tolerance no iteration can beat, the loop must stop right
-  // after the first refine attempt instead of burning the full budget.
+  // The loop continues only while a refine iteration improves the best
+  // worst slack by more than kClosureSlackTolerance, so it stops right
+  // after the first iteration that does not, instead of burning the
+  // whole budget.
   CompileOptions options;
   options.closure_iterations = 6;
-  options.closure_slack_tolerance = 1e9;
   const CompiledDesign d =
       compile(four_context_workload(), small_spec(), options);
-  ASSERT_EQ(d.closure_stats.size(), 2u);
-  EXPECT_EQ(d.closure_stats[0].iteration, 1u);
-  EXPECT_EQ(d.closure_stats[1].iteration, 2u);
+  const std::vector<ClosureIterationStats>& stats = d.closure_stats;
+  ASSERT_GE(stats.size(), 2u);
+  ASSERT_LT(stats.size(), options.closure_iterations);  // stopped early
+  double best = stats[0].worst_slack;
+  for (std::size_t i = 1; i < stats.size(); ++i) {
+    EXPECT_EQ(stats[i].iteration, i + 1);
+    const double improvement = stats[i].worst_slack - best;
+    if (i + 1 < stats.size()) {
+      EXPECT_GT(improvement, kClosureSlackTolerance) << "iteration " << i + 1;
+    } else {
+      EXPECT_LE(improvement, kClosureSlackTolerance) << "last iteration";
+    }
+    best = std::max(best, stats[i].worst_slack);
+  }
 }
 
 TEST(ClosureLoop, FinalDesignIsTheBestRecordedIteration) {
@@ -236,47 +248,10 @@ TEST(ClosureLoop, NeverWorseThanOneShotOnRandomWorkloads) {
   }
 }
 
-TEST(ClosureLoop, AdaptiveRefinePolicyNeverWorseAndDeterministic) {
-  // closure_adaptive_refine derives the refine temperature and sweep
-  // budget from the post-route slack distribution instead of the fixed
-  // constants.  It must keep every loop guarantee: deterministic for a
-  // fixed seed, and never worse than the one-shot flow (iteration 1 is
-  // still the budget anchor and the best iteration still wins).
-  for (const std::uint64_t seed : {11u, 47u}) {
-    workload::RandomMultiContextParams params;
-    params.base.num_inputs = 6;
-    params.base.num_nodes = 16;
-    params.base.max_arity = 3;
-    params.base.seed = seed;
-    params.share_fraction = 0.4;
-    const auto nl = workload::random_multi_context(params);
-
-    CompileOptions adaptive;
-    adaptive.placer.timing_mode = true;
-    adaptive.router.timing_mode = true;
-    adaptive.closure_iterations = 3;
-    adaptive.closure_adaptive_refine = true;
-    const CompiledDesign a = compile(nl, small_spec(), adaptive);
-    const CompiledDesign b = compile(nl, small_spec(), adaptive);
-    expect_same_design(a, b);
-
-    CompileOptions one_shot = adaptive;
-    one_shot.closure_iterations = 1;
-    const double p_one =
-        worst_critical_path(compile(nl, small_spec(), one_shot));
-    EXPECT_LE(worst_critical_path(a), p_one + 1e-9) << "seed " << seed;
-    ASSERT_FALSE(a.closure_stats.empty());
-    EXPECT_DOUBLE_EQ(a.closure_stats[0].critical_path, p_one);
-  }
-}
-
 TEST(ClosureLoop, RejectsBadClosureOptions) {
   const auto nl = four_context_workload();
   CompileOptions options;
   options.closure_iterations = 0;
-  EXPECT_THROW(compile(nl, small_spec(), options), InvalidArgument);
-  options = {};
-  options.closure_slack_tolerance = -1.0;
   EXPECT_THROW(compile(nl, small_spec(), options), InvalidArgument);
 }
 

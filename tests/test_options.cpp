@@ -28,24 +28,6 @@ TEST(RouterOptionsValidation, DefaultsAreValid) {
   EXPECT_NO_THROW(route::RouterOptions{}.validate());
 }
 
-TEST(RouterOptionsValidation, RejectsZeroIterations) {
-  route::RouterOptions o;
-  o.max_iterations = 0;
-  EXPECT_THROW(o.validate(), InvalidArgument);
-}
-
-TEST(RouterOptionsValidation, RejectsNegativeIncrements) {
-  route::RouterOptions o;
-  o.history_increment = -1.0;
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.present_factor_growth = 0.0;
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.max_criticality = 1.0;  // would erase congestion pressure entirely
-  EXPECT_THROW(o.validate(), InvalidArgument);
-}
-
 TEST(RouterOptionsValidation, RejectsBadCriticalityExponentSchedules) {
   route::RouterOptions o;
   o.criticality_exponent_schedule.start = 0.0;
@@ -67,7 +49,7 @@ TEST(RouterOptionsValidation, RejectsBadCriticalityExponentSchedules) {
 TEST(RouterOptionsValidation, RouterConstructorValidates) {
   const arch::RoutingGraph graph(tiny_spec());
   route::RouterOptions o;
-  o.max_iterations = 0;
+  o.criticality_exponent_schedule.start = 0.0;
   EXPECT_THROW(route::Router(graph, o), InvalidArgument);
 }
 
@@ -104,8 +86,8 @@ TEST(CompileOptionsValidation, RejectsNegativeAndNonFiniteDelays) {
 
 TEST(CompileOptionsValidation, ZeroSeDelayCompiles) {
   // Free switches are a legal model; under kBucket the derived bucket
-  // quantum shrinks to the (1 - max_criticality) * 0.5 increment instead
-  // of losing exactness.
+  // quantum shrinks to the (1 - route::kMaxCriticality) * 0.5 increment
+  // instead of losing exactness.
   const auto nl = workload::pipeline_workload(4, 4);
   arch::FabricSpec spec;
   spec.width = 4;
@@ -135,18 +117,11 @@ TEST(PlacerOptionsValidation, RejectsZeroBudgets) {
   EXPECT_THROW(o.validate(), InvalidArgument);
 }
 
-TEST(PlacerOptionsValidation, RejectsBadWeightsAndSchedules) {
+TEST(PlacerOptionsValidation, RejectsNonPositiveTemperatureFactor) {
   place::PlacerOptions o;
-  o.cooling = 0.0;
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.cooling = 1.5;
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
   o.initial_temperature_factor = -0.1;
   EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.timing_weight = -1.0;
+  o.initial_temperature_factor = 0.0;
   EXPECT_THROW(o.validate(), InvalidArgument);
 }
 
@@ -211,11 +186,11 @@ TEST(PlacerTimingMode, CostMatchesWeightedOracle) {
   place::PlacerOptions o;
   o.seed = 3;
   o.timing_mode = true;
-  o.timing_weight = 4.0;
   const place::PlacementProblem prob = crit_problem();
   const auto p = place::place(prob, graph, o);
   EXPECT_DOUBLE_EQ(p.cost, place::placement_cost(prob, graph, p, o));
-  // A fully critical net weighs (1 + timing_weight)x its base weight.
+  // A fully critical net weighs (1 + kTimingWeight)x its base weight.
+  ASSERT_EQ(place::kTimingWeight, 4.0);
   place::PlacementNet net;
   net.weight = 2;
   net.criticality = 1.0;

@@ -175,13 +175,11 @@ arch::FabricSpec spec_n(std::size_t n) {
 TEST(Placer, IncrementalBitIdenticalToFullRecompute) {
   struct Case {
     std::size_t grid, clusters, ios, nets;
-    bool range_limit, adaptive;
   };
   const Case cases[] = {
-      {5, 18, 8, 30, true, false},
-      {5, 18, 8, 30, false, false},
-      {6, 30, 0, 40, true, true},
-      {4, 0, 10, 12, true, false},
+      {5, 18, 8, 30},
+      {6, 30, 0, 40},
+      {4, 0, 10, 12},
   };
   std::uint64_t seed = 11;
   for (const Case& c : cases) {
@@ -191,8 +189,6 @@ TEST(Placer, IncrementalBitIdenticalToFullRecompute) {
     PlacerOptions opts;
     opts.seed = seed;
     opts.sweeps = 24;
-    opts.range_limit = c.range_limit;
-    opts.adaptive_cooling = c.adaptive;
     opts.incremental = true;
     const Placement inc = place::place(prob, g, opts);
     opts.incremental = false;
@@ -239,20 +235,6 @@ TEST(Placer, RestartsAreDeterministicAndNeverWorse) {
   EXPECT_DOUBLE_EQ(multi_a.cost,
                    multi_a.restart_stats[multi_a.winning_restart].cost);
   EXPECT_EQ(multi_a.restart_stats[2].seed, opts.seed + 2);
-}
-
-TEST(Placer, RangeLimitAndAdaptiveCoolingStayExact) {
-  const PlacementProblem prob = random_problem(31, 16, 4, 24, 3);
-  const arch::RoutingGraph g(spec_n(5));
-  PlacerOptions opts;
-  opts.seed = 31;
-  opts.sweeps = 32;
-  opts.adaptive_cooling = true;
-  const Placement p = place::place(prob, g, opts);
-  EXPECT_EQ(p.cost, place::placement_cost(prob, g, p));
-  const Placement q = place::place(prob, g, opts);
-  EXPECT_EQ(p.cluster_pos, q.cluster_pos);
-  EXPECT_EQ(p.io_pads, q.io_pads);
 }
 
 }  // namespace

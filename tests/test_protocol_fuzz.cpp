@@ -32,6 +32,8 @@
 #include "netlist/dfg.hpp"
 #include "serve/protocol.hpp"
 
+#include "field_flips.hpp"
+
 namespace mcfpga::serve {
 namespace {
 
@@ -43,17 +45,14 @@ CompileRequest seed_request() {
   request.job = "job-a";
   request.deadline_ms = 1500;
   request.base_job = "base-job";
-  request.fabric.width = 4;
-  request.fabric.height = 5;
-  request.fabric.channel_width = 10;
-  request.fabric.double_length_tracks = 4;
-  request.options.seed = 42;
-  request.options.placer.timing_mode = true;
-  request.options.router.queue_mode = route::QueueMode::kBucket;
-  request.options.router.cross_context_mode =
-      route::CrossContextMode::kInterleaved;
-  request.options.placer.num_threads = 3;
-  request.options.router.num_threads = 2;
+  // Every listed field off its default, so mutants reach every field
+  // line in a form the encoder writes (doubles with %.17g digits).
+  core::visit_compile_fields(
+      request.fabric, request.options,
+      [](std::string_view, auto& value,
+         core::Effect = core::Effect::kResult) {
+        fieldtest::flip_value(value);
+      });
   // The request codec never parses the netlist blob; a short multi-line
   // one keeps the mutations on the structure around it.
   request.netlist_text = "mcfpga-netlist v1\ncontexts 2\ncontext 0\n";

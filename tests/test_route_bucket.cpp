@@ -319,7 +319,7 @@ TEST(BucketEngine, DerivedQuantumNeverExceedsSmallestIncrement) {
   // Dial's exactness argument needs quantum <= every relaxation increment.
   // An increment is cong_scale * node_cost + delay_term: node_cost >= 0.5
   // (the pin base cost) and, timing-driven, cong_scale = 1 - crit and
-  // delay_term = crit * se_delay for crit in [0, max_criticality].
+  // delay_term = crit * se_delay for crit in [0, kMaxCriticality].
   // Untimed passes (timing off, or no spec) add the node cost alone.
   for (const double se_delay : {0.0, 0.25, 1.0, 4.0}) {
     timing::ContextTimingSpec spec;
@@ -337,14 +337,14 @@ TEST(BucketEngine, DerivedQuantumNeverExceedsSmallestIncrement) {
       }
       for (int step = 0; step <= 99; ++step) {
         const double crit =
-            std::min(opts.max_criticality, static_cast<double>(step) / 100.0);
+            std::min(kMaxCriticality, static_cast<double>(step) / 100.0);
         for (const double node_cost : {0.5, 1.0, 3.5}) {
           EXPECT_LE(q, (1.0 - crit) * node_cost + crit * se_delay)
               << "crit " << crit << " node cost " << node_cost;
         }
       }
       // The bound is tight: the cheapest increment at max criticality.
-      const double c = opts.max_criticality;
+      const double c = kMaxCriticality;
       EXPECT_EQ(q, std::min(0.5, (1.0 - c) * 0.5 + c * se_delay));
     }
   }

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -25,6 +26,8 @@
 #include "serve/session.hpp"
 #include "workload/circuits.hpp"
 #include "workload/edits.hpp"
+
+#include "field_flips.hpp"
 
 namespace mcfpga::serve {
 namespace {
@@ -221,26 +224,8 @@ TEST(ServeProtocol, RequestRoundTrip) {
   EXPECT_EQ(back.job, request.job);
   EXPECT_EQ(back.deadline_ms, request.deadline_ms);
   EXPECT_EQ(back.base_job, request.base_job);
-  EXPECT_EQ(back.fabric.width, request.fabric.width);
-  EXPECT_EQ(back.fabric.height, request.fabric.height);
-  EXPECT_EQ(back.fabric.num_contexts, request.fabric.num_contexts);
-  EXPECT_EQ(back.fabric.channel_width, request.fabric.channel_width);
-  EXPECT_EQ(back.fabric.double_length_tracks,
-            request.fabric.double_length_tracks);
-  EXPECT_EQ(back.fabric.switch_impl, request.fabric.switch_impl);
-  EXPECT_EQ(back.options.seed, request.options.seed);
-  EXPECT_EQ(back.options.placer.timing_mode,
-            request.options.placer.timing_mode);
-  EXPECT_EQ(back.options.router.timing_mode,
-            request.options.router.timing_mode);
-  EXPECT_EQ(back.options.router.queue_mode,
-            request.options.router.queue_mode);
-  EXPECT_EQ(back.options.router.cross_context_mode,
-            request.options.router.cross_context_mode);
-  EXPECT_EQ(back.options.placer.num_threads,
-            request.options.placer.num_threads);
-  EXPECT_EQ(back.options.router.num_threads,
-            request.options.router.num_threads);
+  EXPECT_TRUE(back.fabric == request.fabric);
+  EXPECT_TRUE(back.options == request.options);
   EXPECT_EQ(back.netlist_text, request.netlist_text);
   // The embedded netlist text survives framing byte-for-byte.
   EXPECT_EQ(config::netlist_to_text(
@@ -248,10 +233,27 @@ TEST(ServeProtocol, RequestRoundTrip) {
             request.netlist_text);
 }
 
+TEST(ServeProtocol, EveryFieldFlipRoundTrips) {
+  // Each single-field change of the fabric or the options, worker counts
+  // included, survives the wire: the request carries every listed field.
+  const CompileRequest request = sample_request();
+  std::size_t flips = 0;
+  fieldtest::for_each_field_flip(
+      request.fabric, request.options,
+      [&](const fieldtest::FieldFlip& flip) {
+        ++flips;
+        CompileRequest flipped = request;
+        flipped.fabric = flip.spec;
+        flipped.options = flip.options;
+        const CompileRequest back = decode_request(encode_request(flipped));
+        EXPECT_TRUE(back.fabric == flipped.fabric) << flip.name;
+        EXPECT_TRUE(back.options == flipped.options) << flip.name;
+      });
+  EXPECT_EQ(flips, 34u);
+}
+
 TEST(ServeProtocol, EightContextRequestRoundTrips) {
-  // The fabric line carries one context count; decoding must set the
-  // logic block's count from it too, or every non-4-context fabric fails
-  // validation on the daemon side.
+  // Both context counts are fields of their own on the wire.
   const CompileRequest request = ServeClient::make_request(
       "job-8", workload::pipeline_workload(8, 6), eight_context_spec());
   const CompileRequest back = decode_request(encode_request(request));
@@ -259,11 +261,26 @@ TEST(ServeProtocol, EightContextRequestRoundTrips) {
   EXPECT_EQ(back.fabric.logic_block.num_contexts, 8u);
   EXPECT_NO_THROW(back.fabric.validate());
 
-  // A spec whose two counts differ could not be built, and the wire could
-  // not carry it faithfully, so the encoder rejects it.
+  // A spec whose two counts differ crosses the wire as it is, and the
+  // compile's FabricSpec::validate rejects it, as for a direct compile.
   CompileRequest mismatched = request;
   mismatched.fabric.logic_block.num_contexts = 4;
-  EXPECT_THROW(encode_request(mismatched), InvalidArgument);
+  const CompileRequest mismatched_back =
+      decode_request(encode_request(mismatched));
+  EXPECT_TRUE(mismatched_back.fabric == mismatched.fabric);
+  EXPECT_THROW(mismatched_back.fabric.validate(), InvalidArgument);
+}
+
+TEST(ServeProtocol, EncoderRejectsNonFiniteDoubles) {
+  // The decoder reads finite doubles only, so the encoder never writes
+  // another.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    CompileRequest request = sample_request();
+    request.options.delay.se_delay = bad;
+    EXPECT_THROW(encode_request(request), InvalidArgument) << bad;
+    EXPECT_THROW(request_frame(request), InvalidArgument) << bad;
+  }
 }
 
 TEST(ServeProtocol, ReplyAndProgressRoundTrip) {
@@ -351,29 +368,46 @@ CompileRequest pinned_request() {
   request.job = "job-b";
   request.deadline_ms = 1500;
   request.base_job = "base-job";
-  request.fabric.width = 4;
-  request.fabric.height = 5;
-  request.fabric.num_contexts = 4;
-  request.fabric.logic_block.num_contexts = 4;
-  request.fabric.channel_width = 10;
-  request.fabric.double_length_tracks = 4;
-  request.fabric.switch_impl = arch::SwitchImpl::kRcm;
+  arch::FabricSpec& f = request.fabric;
+  f.width = 4;
+  f.height = 5;
+  f.num_contexts = 4;
+  f.logic_block.base_inputs = 4;
+  f.logic_block.num_contexts = 4;
+  f.logic_block.num_outputs = 2;
+  f.logic_block.control = lut::SizeControl::kLocal;
+  f.channel_width = 10;
+  f.double_length_tracks = 4;
+  f.switch_impl = arch::SwitchImpl::kRcm;
+  f.rcm.rows = 8;
+  f.rcm.cols = 8;
+  f.rcm.crossings = 0;
+  f.rcm.input_controllers = 0;
   core::CompileOptions& o = request.options;
   o.seed = 42;
-  o.closure_iterations = 1;
-  o.auto_size = true;
-  o.placer.timing_mode = true;
-  o.router.timing_mode = false;
-  o.router.queue_mode = route::QueueMode::kBucket;
-  o.router.cross_context_mode = route::CrossContextMode::kInterleaved;
+  o.placer.seed = 0;
+  o.placer.sweeps = 64;
+  o.placer.initial_temperature_factor = 0.1;
+  o.placer.incremental = true;
+  o.placer.num_restarts = 1;
   o.placer.num_threads = 3;
+  o.placer.timing_mode = true;
+  o.router.prefer_double_length = true;
   o.router.num_threads = 2;
+  o.router.timing_mode = false;
+  o.router.criticality_exponent_schedule = {1.0, 0.5, 4.0};
+  o.router.cross_context_mode = route::CrossContextMode::kInterleaved;
+  o.router.queue_mode = route::QueueMode::kBucket;
+  o.delay.se_delay = 1.25;
+  o.delay.lut_delay = 2.0;
+  o.auto_size = true;
+  o.closure_iterations = 1;
   request.netlist_text = "mcfpga-netlist v1\ncontexts 2\n";
   return request;
 }
 
 TEST(ServeProtocol, FramesMatchPinnedBytes) {
-  // The v1 wire, byte for byte: a header (magic, version, type, u32
+  // The wire, byte for byte: a header (magic, version 1, type, u32
   // little-endian payload length) and the line-oriented payload.
   const std::string reply =
       std::string("MCFS\x01\x02\x05\x01\x00\x00", 10) +
@@ -400,14 +434,48 @@ TEST(ServeProtocol, FramesMatchPinnedBytes) {
   EXPECT_EQ(encode_frame(FrameType::kReply, encode_reply(pinned_reply())),
             reply);
 
+  // The request payload is v2: one line per field of core/fields.hpp's
+  // list, in list order.
   const std::string request =
-      std::string("MCFS\x01\x01\xae\x00\x00\x00", 10) +
-      "mcfpga-request v1\n"
+      std::string("MCFS\x01\x01\xd5\x03\x00\x00", 10) +
+      "mcfpga-request v2\n"
       "job job-b\n"
       "deadline_ms 1500\n"
       "base base-job\n"
-      "fabric 4 5 4 10 4 rcm\n"
-      "options 42 1 1 1 0 bucket interleaved 3 2\n"
+      "fabric.width 4\n"
+      "fabric.height 5\n"
+      "fabric.num_contexts 4\n"
+      "fabric.logic_block.base_inputs 4\n"
+      "fabric.logic_block.num_contexts 4\n"
+      "fabric.logic_block.num_outputs 2\n"
+      "fabric.logic_block.control local\n"
+      "fabric.channel_width 10\n"
+      "fabric.double_length_tracks 4\n"
+      "fabric.switch_impl rcm\n"
+      "fabric.rcm.rows 8\n"
+      "fabric.rcm.cols 8\n"
+      "fabric.rcm.crossings 0\n"
+      "fabric.rcm.input_controllers 0\n"
+      "seed 42\n"
+      "placer.seed 0\n"
+      "placer.sweeps 64\n"
+      "placer.initial_temperature_factor 0.10000000000000001\n"
+      "placer.incremental 1\n"
+      "placer.num_restarts 1\n"
+      "placer.num_threads 3\n"
+      "placer.timing_mode 1\n"
+      "router.prefer_double_length 1\n"
+      "router.num_threads 2\n"
+      "router.timing_mode 0\n"
+      "router.criticality_exponent_schedule.start 1\n"
+      "router.criticality_exponent_schedule.step 0.5\n"
+      "router.criticality_exponent_schedule.max 4\n"
+      "router.cross_context_mode interleaved\n"
+      "router.queue_mode bucket\n"
+      "delay.se_delay 1.25\n"
+      "delay.lut_delay 2\n"
+      "auto_size 1\n"
+      "closure_iterations 1\n"
       "netlist_bytes 29\n"
       "mcfpga-netlist v1\n"
       "contexts 2\n"
@@ -471,31 +539,68 @@ void expect_request_rejected(const std::string& from, const std::string& to,
 }
 
 TEST(ServeProtocol, StrictNumericRejection) {
-  // Trailing garbage, explicit '+', overflow: all rejected with the
-  // payload line number (the same checked parsers as config/serialize).
+  // Trailing garbage, explicit '+', overflow, unknown words and non-finite
+  // doubles: all rejected with the payload line number (the same checked
+  // parsers as config/serialize).  Lines 5-18 are the fabric's fields,
+  // 19-38 the options', in core/fields.hpp's order.
   expect_request_rejected("deadline_ms 1500", "deadline_ms 12abc", "line 3");
   expect_request_rejected("deadline_ms 1500", "deadline_ms +4", "line 3");
   expect_request_rejected("deadline_ms 1500",
                           "deadline_ms 99999999999999999999", "line 3");
-  expect_request_rejected("fabric 4 4", "fabric 4x 4", "line 5");
-  expect_request_rejected("fabric 4 4", "fabric 0 4", "line 5");
-  expect_request_rejected("options 42", "options -42", "line 6");
-  expect_request_rejected("bucket", "fifo", "line 6");
-  expect_request_rejected("interleaved", "sideways", "line 6");
-  // The deleted round-based mode is just another unknown token.
-  expect_request_rejected("interleaved", "negotiated", "line 6");
-  expect_request_rejected("mcfpga-request v1", "mcfpga-request v2", "line 1");
+  expect_request_rejected("fabric.width 4\n", "fabric.width 4x\n", "line 5");
+  expect_request_rejected("fabric.width 4\n", "fabric.width -4\n", "line 5");
+  expect_request_rejected("fabric.width 4\n", "fabric.width\n", "line 5");
+  expect_request_rejected("control local", "control medium", "line 11");
+  expect_request_rejected("fabric.rcm.rows 8",
+                          "fabric.rcm.rows 99999999999999999999", "line 15");
+  expect_request_rejected("seed 42", "seed -42", "line 19");
+  expect_request_rejected("placer.incremental 1", "placer.incremental 2",
+                          "line 23");
+  expect_request_rejected("placer.incremental 1", "placer.incremental true",
+                          "line 23");
+  expect_request_rejected("schedule.max 1\n", "schedule.max inf\n",
+                          "line 32");
+  expect_request_rejected("interleaved", "sideways", "line 33");
+  // The deleted round-based mode is just another unknown word.
+  expect_request_rejected("interleaved", "negotiated", "line 33");
+  expect_request_rejected("bucket", "fifo", "line 34");
+  expect_request_rejected("delay.lut_delay 2\n", "delay.lut_delay nan\n",
+                          "line 36");
+  expect_request_rejected("delay.lut_delay 2\n", "delay.lut_delay -inf\n",
+                          "line 36");
+  // The v1 request (a fabric and an options line) and any later tag.
+  expect_request_rejected("mcfpga-request v2", "mcfpga-request v1", "line 1");
+  expect_request_rejected("mcfpga-request v2", "mcfpga-request v3", "line 1");
 }
 
 TEST(ServeProtocol, DecodersAcceptOnlyCanonicalPayloads) {
   // A decoded payload re-encodes to its own bytes, so every form the
   // encoder never writes is an error, with its line number.
   expect_request_rejected("deadline_ms 1500", "deadline_ms 01500", "line 3");
-  expect_request_rejected("fabric 4 4", "fabric 4  4", "line 5");
-  expect_request_rejected("fabric 4 4", "fabric  4 4", "line 5");
-  expect_request_rejected("options 42", "options 042", "line 6");
+  expect_request_rejected("fabric.width 4\n", "fabric.width  4\n", "line 5");
+  expect_request_rejected("fabric.width 4\n", "fabric.width 4 \n", "line 5");
+  expect_request_rejected("fabric.width 4\n", "fabric.width\t4\n", "line 5");
+  expect_request_rejected("seed 42", "seed 042", "line 19");
   expect_request_rejected("job job-a", "job job-a\t", "line 2");
-  expect_request_rejected("netlist_bytes ", "netlist_bytes 0", "line 7");
+  expect_request_rejected("netlist_bytes ", "netlist_bytes 0", "line 39");
+  // Doubles only as %.17g writes them.
+  expect_request_rejected("factor 0.10000000000000001", "factor 0.1",
+                          "line 22");
+  expect_request_rejected("delay.se_delay 1\n", "delay.se_delay 1e0\n",
+                          "line 35");
+  expect_request_rejected("delay.se_delay 1\n", "delay.se_delay 1.0\n",
+                          "line 35");
+  // Exactly the list's names, in its order: a swapped pair, a dropped
+  // line, a line without its name, and a name not on the list.
+  expect_request_rejected("fabric.width 4\nfabric.height 4\n",
+                          "fabric.height 4\nfabric.width 4\n", "line 5");
+  expect_request_rejected("fabric.rcm.crossings 0\n", "", "line 17");
+  expect_request_rejected("fabric.rcm.crossings 0\n", "0\n", "line 17");
+  expect_request_rejected("placer.incremental 1\n",
+                          "placer.cooling 0.90000000000000002\n"
+                          "placer.incremental 1\n",
+                          "line 23");
+  expect_request_rejected("\nseed 42\n", "\noptions.seed 42\n", "line 19");
 
   const std::string request = encode_request(sample_request());
   EXPECT_NO_THROW(decode_request(request));
@@ -544,7 +649,7 @@ TEST(ServeProtocol, RequestRejectsTruncatedBlob) {
   const std::string reply = encode_reply(pinned_reply());
   for (const char* count :
        {"999999", "1000000000000", "18446744073709551615"}) {
-    expect_blob_rejected(request, "netlist_bytes", count, "line 7",
+    expect_blob_rejected(request, "netlist_bytes", count, "line 39",
                          [](const std::string& p) { decode_request(p); });
     expect_blob_rejected(reply, "bitstream_bytes", count, "line 12",
                          [](const std::string& p) { decode_reply(p); });
@@ -603,6 +708,44 @@ TEST(CompileDaemon, ReplyMatchesDirectCompileAndRepeatHitsCache) {
   EXPECT_EQ(stats.done, 2u);
   EXPECT_EQ(stats.cancelled, 0u);
   EXPECT_EQ(stats.failed, 0u);
+}
+
+TEST(CompileDaemon, ReplyEqualsDirectCompileForEveryRequestField) {
+  // Fields the v1 request did not carry: each must reach the daemon's
+  // compile, so each reply equals a direct compile of exactly what the
+  // request says.
+  const auto netlist = workload::pipeline_workload(4, 12);
+  arch::FabricSpec spec;
+  spec.width = 8;
+  spec.height = 8;
+  struct Case {
+    std::string field;
+    arch::FabricSpec spec;
+    core::CompileOptions options;
+  };
+  std::vector<Case> cases(4, Case{"", spec, {}});
+  cases[0].field = "placer.sweeps";
+  cases[0].options.placer.sweeps = 8;
+  cases[1].field = "placer.num_restarts";
+  cases[1].options.placer.num_restarts = 3;
+  cases[2].field = "router.prefer_double_length";
+  cases[2].options.router.prefer_double_length = false;
+  cases[3].field = "fabric.logic_block.num_outputs";
+  cases[3].spec.logic_block.num_outputs = 3;
+
+  cache::CompileService direct;
+  CompileDaemon daemon;
+  ServeClient client(daemon);
+  for (const Case& c : cases) {
+    const std::string want = config::to_text(
+        direct.compile(netlist, c.spec, c.options).design.full_bitstream);
+    const ServeClient::Outcome out =
+        client.wait(client.submit(ServeClient::make_request(
+            "job-" + c.field, netlist, c.spec, c.options)));
+    ASSERT_EQ(out.reply.status, CompileReply::Status::kDone)
+        << c.field << ": " << out.reply.error;
+    EXPECT_EQ(out.reply.bitstream_text, want) << c.field;
+  }
 }
 
 TEST(CompileDaemon, EightContextFabricMatchesDirectCompile) {
