@@ -21,6 +21,10 @@ void FabricSpec::validate() const {
                  "context count must be a power of two in [2, 64]");
   MCFPGA_REQUIRE(logic_block.num_contexts == num_contexts,
                  "logic-block context count must match fabric context count");
+  MCFPGA_REQUIRE(logic_block.base_inputs >= 1 && logic_block.base_inputs <= 8,
+                 "base LUT inputs must be in [1, 8]");
+  MCFPGA_REQUIRE(logic_block.num_outputs >= 1 && logic_block.num_outputs <= 8,
+                 "output count must be in [1, 8]");
   MCFPGA_REQUIRE(channel_width >= 1, "channel width must be >= 1");
   MCFPGA_REQUIRE(double_length_tracks % 2 == 0,
                  "double-length tracks come in pairs (one per phase)");

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "lut/logic_block.hpp"
-#include "rcm/grid.hpp"
 
 namespace mcfpga::arch {
 
@@ -38,12 +37,10 @@ struct FabricSpec {
 
   SwitchImpl switch_impl = SwitchImpl::kRcm;
 
-  /// RCM block sizing per switch block (only meaningful for kRcm).
-  rcm::GridSpec rcm{};
-
   std::size_t num_cells() const { return width * height; }
 
-  /// Throws InvalidArgument when the combination is unbuildable.
+  /// Throws InvalidArgument when the combination is unbuildable (the
+  /// logic block's bounds are the MCMG-LUT's).
   void validate() const;
 
   /// One-line summary for reports.

@@ -47,15 +47,6 @@ constexpr std::array<std::string_view, 2> field_words(
 template <typename S, typename T>
 concept FieldsOf = std::same_as<std::remove_const_t<S>, T>;
 
-template <FieldsOf<rcm::GridSpec> S, typename V>
-void visit_fields(S& grid, V&& v) {
-  auto& [rows, cols, crossings, input_controllers] = grid;
-  v("fabric.rcm.rows", rows);
-  v("fabric.rcm.cols", cols);
-  v("fabric.rcm.crossings", crossings);
-  v("fabric.rcm.input_controllers", input_controllers);
-}
-
 template <FieldsOf<lut::LogicBlockSpec> S, typename V>
 void visit_fields(S& block, V&& v) {
   auto& [base_inputs, num_contexts, num_outputs, control] = block;
@@ -68,7 +59,7 @@ void visit_fields(S& block, V&& v) {
 template <FieldsOf<arch::FabricSpec> S, typename V>
 void visit_fields(S& spec, V&& v) {
   auto& [width, height, num_contexts, logic_block, channel_width,
-         double_length_tracks, switch_impl, rcm] = spec;
+         double_length_tracks, switch_impl] = spec;
   v("fabric.width", width);
   v("fabric.height", height);
   v("fabric.num_contexts", num_contexts);
@@ -76,7 +67,6 @@ void visit_fields(S& spec, V&& v) {
   v("fabric.channel_width", channel_width);
   v("fabric.double_length_tracks", double_length_tracks);
   v("fabric.switch_impl", switch_impl);
-  visit_fields(rcm, v);
 }
 
 template <FieldsOf<place::PlacerOptions> S, typename V>

@@ -226,6 +226,11 @@ void CompileDaemon::run_job(const std::shared_ptr<Session>& session) {
           find_completed(session->request.base_job);
       MCFPGA_REQUIRE(base != nullptr,
                      "unknown base job '" + session->request.base_job + "'");
+      // A delta recompile keeps its base's fabric, so a request naming
+      // another one asks for something the delta path cannot do.
+      MCFPGA_REQUIRE(session->request.fabric == base->spec,
+                     "fabric differs from base job '" +
+                         session->request.base_job + "'");
       compiled = service_.compile_incremental(
           *base, session->netlist, session->request.options, &observer);
     } else {

@@ -8,7 +8,8 @@
 // decodes the request synchronously (malformed frames throw, nothing is
 // queued), fires Submit, and enqueues the job.  A worker fires Start,
 // compiles through CompileService::compile — or compile_incremental when
-// the request names a completed base job — with a StageObserver that
+// the request names a completed base job whose fabric it repeats — with a
+// StageObserver that
 //   - checks the session's cancel flag and deadline budget at every stage
 //     boundary (cooperative: a job is never killed mid-mutation), and
 //   - streams one encoded progress frame per finished stage (Progress);

@@ -118,6 +118,8 @@ class PayloadWriter {
   std::string& out_;
 };
 
+std::string_view flag(bool value) { return value ? "1" : "0"; }
+
 /// Reads a payload in place: lines and fields are views into it, and each
 /// blob is copied out once.  It accepts only what PayloadWriter writes —
 /// one space between fields, integers without leading zeros, doubles in
@@ -228,12 +230,6 @@ class PayloadReader {
   std::size_t line_ = 0;   ///< Lines read so far.
 };
 
-/// A flag's words, indexed by its value, beside the enum fields'.
-using core::field_words;
-constexpr std::array<std::string_view, 2> field_words(bool) {
-  return {"0", "1"};
-}
-
 /// Writes each listed field as a `<dotted.name> <value>` line: integers
 /// in decimal, doubles as %.17g (finite only, so the decoder reads back
 /// every line the encoder writes), flags and enums as words.
@@ -244,8 +240,10 @@ struct FieldWriter {
   void operator()(std::string_view name, const T& value,
                   core::Effect = core::Effect::kResult) const {
     w.key(name);
-    if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
-      const auto words = field_words(value);
+    if constexpr (std::is_same_v<T, bool>) {
+      w.field(flag(value));
+    } else if constexpr (std::is_enum_v<T>) {
+      const auto words = core::field_words(value);
       const auto index = static_cast<std::size_t>(value);
       MCFPGA_REQUIRE(index < words.size(),
                      std::string(name) + " holds no named value");
@@ -286,10 +284,14 @@ void write_request(std::string& out, const CompileRequest& request) {
 bool parse_field(std::string_view text, double& out) {
   return PayloadReader::parse_double(text, out);
 }
+bool parse_field(std::string_view text, bool& out) {
+  out = text == flag(true);
+  return out || text == flag(false);
+}
 template <typename T>
-  requires std::is_same_v<T, bool> || std::is_enum_v<T>
+  requires std::is_enum_v<T>
 bool parse_field(std::string_view text, T& out) {
-  const auto words = field_words(out);
+  const auto words = core::field_words(out);
   for (std::size_t i = 0; i < words.size(); ++i) {
     if (words[i] == text) {
       out = static_cast<T>(i);
@@ -335,7 +337,7 @@ void write_reply(std::string& out, const CompileReply& reply) {
   w.blob("error_bytes", reply.error);
   w.key("hits").field(reply.cache_hits).end_line();
   w.key("misses").field(reply.cache_misses).end_line();
-  w.key("delta").field(field_words(reply.delta)[reply.delta]).end_line();
+  w.key("delta").field(flag(reply.delta)).end_line();
   w.blob("fallback_bytes", reply.delta_fallback);
   w.key("critical_path").real_field(reply.critical_path).end_line();
   w.blob("bitstream_bytes", reply.bitstream_text);

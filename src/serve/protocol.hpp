@@ -32,11 +32,13 @@
 //   end
 //
 // The request's field lines are core/fields.hpp's list, every FabricSpec
-// and CompileOptions field as `<dotted.name> <value>` ("fabric.rcm.rows
-// 8", "placer.sweeps 64"), in list order, so the daemon compiles what
-// the request says.  Values are unsigned integers, 0/1 flags, finite
-// doubles or enum words (rcm|conventional, local|global, binary|bucket,
+// and CompileOptions field as `<dotted.name> <value>` ("fabric.width 8",
+// "placer.sweeps 64"), in list order, so the daemon compiles what the
+// request says.  Values are unsigned integers, 0/1 flags, finite doubles
+// or enum words (rcm|conventional, local|global, binary|bucket,
 // off|interleaved); the compile validates them, as a direct compile does.
+// A request naming a base job must repeat the base's fabric lines: a
+// delta recompile keeps its base's fabric, so other ones fail the job.
 // Effort fields (sweeps, restarts, closure iterations, fabric size) are
 // not capped: the daemon is in-process, and caps belong with a socket
 // transport's admission control.

@@ -31,7 +31,7 @@ void flip_value(T& value) {
 
 /// One single-field change of a compile's inputs.
 struct FieldFlip {
-  std::string name;  ///< Dotted, as on the list ("fabric.rcm.rows").
+  std::string name;  ///< Dotted, as on the list ("fabric.width").
   core::Effect effect = core::Effect::kResult;
   arch::FabricSpec spec;
   core::CompileOptions options;

@@ -49,6 +49,17 @@ TEST(FabricSpec, ValidateChecksInvariants) {
   bad = spec;
   bad.channel_width = 0;
   EXPECT_THROW(bad.validate(), InvalidArgument);
+  // The MCMG-LUT's bounds, checked before any table is sized by them.
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{9}, std::size_t{62},
+        (std::size_t{1} << 58) + 1}) {
+    bad = spec;
+    bad.logic_block.base_inputs = n;
+    EXPECT_THROW(bad.validate(), InvalidArgument) << n;
+    bad = spec;
+    bad.logic_block.num_outputs = n;
+    EXPECT_THROW(bad.validate(), InvalidArgument) << n;
+  }
 }
 
 TEST(FabricSpec, DescribeMentionsKeyParameters) {

@@ -554,9 +554,9 @@ TEST(CacheKeys, EveryFieldButTheWorkerCountsChangesTheKey) {
           EXPECT_NE(key, base) << flip.name;
         }
       });
-  // 14 FabricSpec fields and 20 CompileOptions values, two of them the
+  // 10 FabricSpec fields and 20 CompileOptions values, two of them the
   // worker counts.
-  EXPECT_EQ(keyed, 32u);
+  EXPECT_EQ(keyed, 28u);
   EXPECT_EQ(neutral, 2u);
 
   core::CompileOptions threaded = opts;
@@ -1043,7 +1043,7 @@ TEST(GraphSlot, EveryFlippedSpecFieldBuildsANewGraph) {
         EXPECT_EQ(graph->spec(), flip.spec) << flip.name;
         EXPECT_EQ(slot.acquire(flip.spec), graph) << flip.name;  // now held
       });
-  EXPECT_EQ(flips, 14u);
+  EXPECT_EQ(flips, 10u);
 }
 
 TEST(GraphSlot, CompilingOnAnotherFabricReleasesTheHeldGraph) {

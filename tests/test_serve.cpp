@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <thread>
@@ -249,7 +250,7 @@ TEST(ServeProtocol, EveryFieldFlipRoundTrips) {
         EXPECT_TRUE(back.fabric == flipped.fabric) << flip.name;
         EXPECT_TRUE(back.options == flipped.options) << flip.name;
       });
-  EXPECT_EQ(flips, 34u);
+  EXPECT_EQ(flips, 30u);
 }
 
 TEST(ServeProtocol, EightContextRequestRoundTrips) {
@@ -379,10 +380,6 @@ CompileRequest pinned_request() {
   f.channel_width = 10;
   f.double_length_tracks = 4;
   f.switch_impl = arch::SwitchImpl::kRcm;
-  f.rcm.rows = 8;
-  f.rcm.cols = 8;
-  f.rcm.crossings = 0;
-  f.rcm.input_controllers = 0;
   core::CompileOptions& o = request.options;
   o.seed = 42;
   o.placer.seed = 0;
@@ -437,7 +434,7 @@ TEST(ServeProtocol, FramesMatchPinnedBytes) {
   // The request payload is v2: one line per field of core/fields.hpp's
   // list, in list order.
   const std::string request =
-      std::string("MCFS\x01\x01\xd5\x03\x00\x00", 10) +
+      std::string("MCFS\x01\x01\x7b\x03\x00\x00", 10) +
       "mcfpga-request v2\n"
       "job job-b\n"
       "deadline_ms 1500\n"
@@ -452,10 +449,6 @@ TEST(ServeProtocol, FramesMatchPinnedBytes) {
       "fabric.channel_width 10\n"
       "fabric.double_length_tracks 4\n"
       "fabric.switch_impl rcm\n"
-      "fabric.rcm.rows 8\n"
-      "fabric.rcm.cols 8\n"
-      "fabric.rcm.crossings 0\n"
-      "fabric.rcm.input_controllers 0\n"
       "seed 42\n"
       "placer.seed 0\n"
       "placer.sweeps 64\n"
@@ -541,8 +534,8 @@ void expect_request_rejected(const std::string& from, const std::string& to,
 TEST(ServeProtocol, StrictNumericRejection) {
   // Trailing garbage, explicit '+', overflow, unknown words and non-finite
   // doubles: all rejected with the payload line number (the same checked
-  // parsers as config/serialize).  Lines 5-18 are the fabric's fields,
-  // 19-38 the options', in core/fields.hpp's order.
+  // parsers as config/serialize).  Lines 5-14 are the fabric's fields,
+  // 15-34 the options', in core/fields.hpp's order.
   expect_request_rejected("deadline_ms 1500", "deadline_ms 12abc", "line 3");
   expect_request_rejected("deadline_ms 1500", "deadline_ms +4", "line 3");
   expect_request_rejected("deadline_ms 1500",
@@ -551,23 +544,24 @@ TEST(ServeProtocol, StrictNumericRejection) {
   expect_request_rejected("fabric.width 4\n", "fabric.width -4\n", "line 5");
   expect_request_rejected("fabric.width 4\n", "fabric.width\n", "line 5");
   expect_request_rejected("control local", "control medium", "line 11");
-  expect_request_rejected("fabric.rcm.rows 8",
-                          "fabric.rcm.rows 99999999999999999999", "line 15");
-  expect_request_rejected("seed 42", "seed -42", "line 19");
+  expect_request_rejected("fabric.channel_width 10",
+                          "fabric.channel_width 99999999999999999999",
+                          "line 12");
+  expect_request_rejected("seed 42", "seed -42", "line 15");
   expect_request_rejected("placer.incremental 1", "placer.incremental 2",
-                          "line 23");
+                          "line 19");
   expect_request_rejected("placer.incremental 1", "placer.incremental true",
-                          "line 23");
+                          "line 19");
   expect_request_rejected("schedule.max 1\n", "schedule.max inf\n",
-                          "line 32");
-  expect_request_rejected("interleaved", "sideways", "line 33");
+                          "line 28");
+  expect_request_rejected("interleaved", "sideways", "line 29");
   // The deleted round-based mode is just another unknown word.
-  expect_request_rejected("interleaved", "negotiated", "line 33");
-  expect_request_rejected("bucket", "fifo", "line 34");
+  expect_request_rejected("interleaved", "negotiated", "line 29");
+  expect_request_rejected("bucket", "fifo", "line 30");
   expect_request_rejected("delay.lut_delay 2\n", "delay.lut_delay nan\n",
-                          "line 36");
+                          "line 32");
   expect_request_rejected("delay.lut_delay 2\n", "delay.lut_delay -inf\n",
-                          "line 36");
+                          "line 32");
   // The v1 request (a fabric and an options line) and any later tag.
   expect_request_rejected("mcfpga-request v2", "mcfpga-request v1", "line 1");
   expect_request_rejected("mcfpga-request v2", "mcfpga-request v3", "line 1");
@@ -580,27 +574,28 @@ TEST(ServeProtocol, DecodersAcceptOnlyCanonicalPayloads) {
   expect_request_rejected("fabric.width 4\n", "fabric.width  4\n", "line 5");
   expect_request_rejected("fabric.width 4\n", "fabric.width 4 \n", "line 5");
   expect_request_rejected("fabric.width 4\n", "fabric.width\t4\n", "line 5");
-  expect_request_rejected("seed 42", "seed 042", "line 19");
+  expect_request_rejected("seed 42", "seed 042", "line 15");
   expect_request_rejected("job job-a", "job job-a\t", "line 2");
-  expect_request_rejected("netlist_bytes ", "netlist_bytes 0", "line 39");
+  expect_request_rejected("netlist_bytes ", "netlist_bytes 0", "line 35");
   // Doubles only as %.17g writes them.
   expect_request_rejected("factor 0.10000000000000001", "factor 0.1",
-                          "line 22");
+                          "line 18");
   expect_request_rejected("delay.se_delay 1\n", "delay.se_delay 1e0\n",
-                          "line 35");
+                          "line 31");
   expect_request_rejected("delay.se_delay 1\n", "delay.se_delay 1.0\n",
-                          "line 35");
+                          "line 31");
   // Exactly the list's names, in its order: a swapped pair, a dropped
   // line, a line without its name, and a name not on the list.
   expect_request_rejected("fabric.width 4\nfabric.height 4\n",
                           "fabric.height 4\nfabric.width 4\n", "line 5");
-  expect_request_rejected("fabric.rcm.crossings 0\n", "", "line 17");
-  expect_request_rejected("fabric.rcm.crossings 0\n", "0\n", "line 17");
+  expect_request_rejected("fabric.double_length_tracks 4\n", "", "line 13");
+  expect_request_rejected("fabric.double_length_tracks 4\n", "4\n",
+                          "line 13");
   expect_request_rejected("placer.incremental 1\n",
                           "placer.cooling 0.90000000000000002\n"
                           "placer.incremental 1\n",
-                          "line 23");
-  expect_request_rejected("\nseed 42\n", "\noptions.seed 42\n", "line 19");
+                          "line 19");
+  expect_request_rejected("\nseed 42\n", "\noptions.seed 42\n", "line 15");
 
   const std::string request = encode_request(sample_request());
   EXPECT_NO_THROW(decode_request(request));
@@ -649,7 +644,7 @@ TEST(ServeProtocol, RequestRejectsTruncatedBlob) {
   const std::string reply = encode_reply(pinned_reply());
   for (const char* count :
        {"999999", "1000000000000", "18446744073709551615"}) {
-    expect_blob_rejected(request, "netlist_bytes", count, "line 39",
+    expect_blob_rejected(request, "netlist_bytes", count, "line 35",
                          [](const std::string& p) { decode_request(p); });
     expect_blob_rejected(reply, "bitstream_bytes", count, "line 12",
                          [](const std::string& p) { decode_reply(p); });
@@ -934,6 +929,77 @@ TEST(CompileDaemon, UnknownBaseJobFailsThatJobOnly) {
   const std::uint64_t ok =
       client.submit(ServeClient::make_request("ok", netlist, spec, {}));
   EXPECT_EQ(client.wait(ok).reply.status, CompileReply::Status::kDone);
+}
+
+TEST(CompileDaemon, DeltaOnAnotherFabricFailsThatJobOnly) {
+  // A delta recompile keeps its base's fabric: a base_job request whose
+  // fabric lines differ fails instead of compiling on the base's fabric.
+  const auto netlist = small_workload();
+  const auto spec = small_spec();
+  const auto edited =
+      workload::retable_edit(netlist, pick_lut_node(netlist), 123);
+  cache::CompileService direct;
+  const cache::Compiled want =
+      direct.compile_incremental(direct.compile(netlist, spec, {}), edited, {});
+
+  CompileDaemon daemon;
+  ServeClient client(daemon);
+  ASSERT_EQ(client.wait(client.submit(ServeClient::make_request(
+                            "base", netlist, spec, {})))
+                .reply.status,
+            CompileReply::Status::kDone);
+  arch::FabricSpec wider = spec;
+  wider.channel_width += 2;
+  const ServeClient::Outcome out = client.wait(client.submit(
+      ServeClient::make_request("edit", edited, wider, {}, 0, "base")));
+  ASSERT_EQ(out.reply.status, CompileReply::Status::kFailed);
+  EXPECT_NE(out.reply.error.find("fabric differs from base job 'base'"),
+            std::string::npos)
+      << out.reply.error;
+
+  // The same edit on the base's fabric is the direct delta recompile.
+  const ServeClient::Outcome ok = client.wait(client.submit(
+      ServeClient::make_request("edit", edited, spec, {}, 0, "base")));
+  ASSERT_EQ(ok.reply.status, CompileReply::Status::kDone) << ok.reply.error;
+  EXPECT_EQ(ok.reply.delta, want.design.cache.delta);
+  EXPECT_EQ(ok.reply.bitstream_text,
+            config::to_text(want.design.full_bitstream));
+}
+
+TEST(CompileDaemon, InvalidLogicBlockSizesFailTheJob) {
+  // Sizes outside the MCMG-LUT's bounds would size tables out of range (a
+  // shift by 64, a pin count that wraps): they cross the wire as they are
+  // and fail the job in FabricSpec::validate, before any stage runs.
+  const auto netlist = small_workload();
+  const std::size_t wraps = (std::size_t{1} << 60) + 1;  // x 16 cells
+  struct Case {
+    std::size_t base_inputs;
+    std::size_t num_outputs;
+    const char* error;
+  };
+  const Case cases[] = {
+      {0, 2, "base LUT inputs"},  {9, 2, "base LUT inputs"},
+      {62, 2, "base LUT inputs"}, {64, 2, "base LUT inputs"},
+      {4, 0, "output count"},     {4, 9, "output count"},
+      {4, wraps, "output count"},
+  };
+  CompileDaemon daemon;
+  ServeClient client(daemon);
+  for (const Case& c : cases) {
+    arch::FabricSpec spec = small_spec();
+    spec.logic_block.base_inputs = c.base_inputs;
+    spec.logic_block.num_outputs = c.num_outputs;
+    const ServeClient::Outcome out = client.wait(client.submit(
+        ServeClient::make_request("bad", netlist, spec, {})));
+    ASSERT_EQ(out.reply.status, CompileReply::Status::kFailed)
+        << c.base_inputs << " " << c.num_outputs;
+    EXPECT_NE(out.reply.error.find(c.error), std::string::npos)
+        << out.reply.error;
+  }
+  EXPECT_EQ(daemon.stats().failed, std::size(cases));
+  const ServeClient::Outcome ok = client.wait(client.submit(
+      ServeClient::make_request("ok", netlist, small_spec(), {})));
+  EXPECT_EQ(ok.reply.status, CompileReply::Status::kDone);
 }
 
 TEST(CompileDaemon, MalformedRequestRejectedAtSubmit) {
